@@ -3,14 +3,16 @@
 The observability layer (``repro.obs``) promises two things at once:
 
 * **E19a (disabled overhead)** — with telemetry off, the instrumented
-  hot paths must cost what the uninstrumented ones did. Every site pays
-  one ``OBS.enabled`` attribute lookup (or a no-op context manager at
-  phase granularity), and the plan executor takes its observer-free
-  branch; on the E17a skewed-star saturation the wall-clock overhead
-  must stay within scheduler noise (<= ~3%). The comparison runs with a
-  registry *instantiated but disabled* — the state a process is in after
-  `telemetry on` / `telemetry off` — which is strictly no cheaper than
-  the never-enabled state.
+  hot paths must do no telemetry work at all. The guard is structural,
+  not a stopwatch: with a registry *instantiated but disabled* — the
+  state a process is in after `telemetry on` / `telemetry off`, strictly
+  no cheaper than never-enabled — one saturation of the E17a skewed star
+  constructs zero ``Span`` objects, makes zero ``StepObserver`` calls and
+  zero instrument ``inc``/``set``/``observe`` calls (real or null). The
+  same spies must see work once telemetry is on, so the guard cannot
+  pass because a method was renamed. Wall-clock for both states is
+  printed, not asserted: the two sides run identical code, so a ratio
+  between them only measures scheduler noise.
 
 * **E19b (enabled fidelity)** — with telemetry on, one maintenance
   update over a join-heavy clause must produce a trace whose per-plan-
@@ -27,6 +29,7 @@ is most interesting on — driven both through raw saturation (E19a) and a
 maintained engine update (E19b).
 """
 
+import collections
 import json
 import time
 
@@ -36,15 +39,16 @@ from repro.datalog.atoms import Atom, fact
 from repro.datalog.builder import ProgramBuilder
 from repro.datalog.evaluation import semi_naive_saturate
 from repro.datalog.model import Model
-from repro.datalog.plan import Planner
+from repro.datalog.plan import Planner, StepObserver
 from repro.obs import OBS, telemetry
+from repro.obs.metrics import Counter, Gauge, Histogram, _NullInstrument
+from repro.obs.trace import Span
 
 TRIPLE_ROWS = 20_000
 A_BUCKETS = 198
 B_BUCKETS = 211
 PROBES = 32
 REPEATS = 7
-OVERHEAD_CEILING = 1.03
 
 
 def _star_rules():
@@ -78,8 +82,38 @@ def _saturate_once() -> float:
     return time.perf_counter() - started
 
 
-def test_e19a_disabled_overhead(benchmark):
-    """Telemetry off must cost within noise of never-instrumented runs."""
+SPIED = (
+    (Span, ("__init__",)),
+    (StepObserver, ("__init__", "begin", "count")),
+    (Counter, ("inc",)),
+    (Gauge, ("set", "inc", "dec")),
+    (Histogram, ("observe",)),
+    (_NullInstrument, ("inc", "dec", "set", "observe")),
+)
+
+
+def _install_spies(monkeypatch) -> collections.Counter:
+    """Count every call into the telemetry classes, by ``Class.method``."""
+    calls: collections.Counter = collections.Counter()
+
+    def spy(owner, method):
+        original = getattr(owner, method)
+        label = f"{owner.__name__}.{method}"
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, counted)
+
+    for owner, methods in SPIED:
+        for method in methods:
+            spy(owner, method)
+    return calls
+
+
+def test_e19a_disabled_overhead(benchmark, monkeypatch):
+    """Telemetry off must do zero telemetry work on the saturation path."""
     assert not OBS.enabled
     # Put the process in the worst disabled state: a registry exists (it
     # was enabled once), collection is off again.
@@ -87,23 +121,37 @@ def test_e19a_disabled_overhead(benchmark):
     OBS.disable()
     OBS.reset()
 
-    # Interleave the measurements so clock drift and cache warmup hit
-    # both sides equally; best-of-N absorbs scheduler hiccups.
+    # Unasserted timing column: never-touched vs instantiated-then-disabled
+    # are the same code path, interleaved best-of-N.
     baseline = disabled = float("inf")
     for _ in range(REPEATS):
         baseline = min(baseline, _saturate_once())
         disabled = min(disabled, _saturate_once())
-    ratio = disabled / baseline
+
+    with monkeypatch.context() as patch:
+        calls = _install_spies(patch)
+        _saturate_once()
+        disabled_calls = dict(calls)
+        calls.clear()
+        with telemetry():
+            _saturate_once()
+        enabled_calls = dict(calls)
+    OBS.reset()
+
     print_table(
-        ["triple_rows", "baseline_s", "disabled_telemetry_s", "ratio"],
-        [[TRIPLE_ROWS, baseline, disabled, ratio]],
-        "E19a: disabled-telemetry overhead on the E17a skewed star",
+        ["triple_rows", "baseline_s", "disabled_telemetry_s", "ratio",
+         "disabled_calls", "enabled_calls"],
+        [[TRIPLE_ROWS, baseline, disabled, disabled / baseline,
+          sum(disabled_calls.values()), sum(enabled_calls.values())]],
+        "E19a: disabled-telemetry work on the E17a skewed star",
     )
-    # Both runs go through identical code (the observer-free plan branch),
-    # so this guards the *structure* — no accidental always-on probe work.
-    assert ratio <= OVERHEAD_CEILING, (
-        f"disabled telemetry costs {ratio:.3f}x the baseline"
+    assert disabled_calls == {}, (
+        f"disabled telemetry still did work: {disabled_calls}"
     )
+    # Positive control: the spies are attached to the live code paths.
+    assert enabled_calls.get("Span.__init__", 0) > 0
+    assert enabled_calls.get("StepObserver.count", 0) > 0
+    assert enabled_calls.get("Counter.inc", 0) > 0
 
     model = _star_model()
     benchmark(

@@ -100,7 +100,6 @@ def compare_engines(
     updates: Sequence[Update],
     engine_names: Sequence[str],
     verify: bool = True,
-    engine_kwargs: dict | None = None,
 ) -> list[RunResult]:
     """Run the same update sequence through several fresh engines.
 
@@ -110,7 +109,7 @@ def compare_engines(
     outcomes = []
     for name in engine_names:
         started = time.perf_counter()
-        engine = create_engine(name, program, **(engine_kwargs or {}))
+        engine = create_engine(name, program)
         build_s = time.perf_counter() - started
         run = run_sequence(engine, updates, verify=verify)
         run.engine = name  # registry name, not the class-level short name

@@ -31,15 +31,17 @@ Three properties carry the design:
   :mod:`repro.core.supports` record objects on demand, through per-slot
   caches, so diagnostics and file formats are unchanged.
 
-Every arena-capable engine keeps the record-backed path behind
-``arena=False`` (the differential-testing baseline, mirroring the
-``materialize_deltas``/``delta_choice`` ablation idiom).
+The arena is the only runtime representation of the fact-level, cascade
+and set-of-sets engines. The object-level mappings survive at the edges:
+``ArenaXxx.to_record_state`` feeds the v1 codec, ``dumps`` fingerprints and
+equality, and ``ArenaXxx.from_records`` loads v1 snapshots and legacy
+states.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.clauses import Clause
@@ -333,9 +335,9 @@ class Arena:
     # Static-dependency expansion of elements, cached per slot
     # ------------------------------------------------------------------
     #
-    # The record-backed removal sweep re-expands every element through the
-    # static closures on every pass; interned elements make the expansion
-    # cachable per (element slot, statics object). The caches are owned by
+    # The removal sweep expands every element through the static closures
+    # on every pass; interned elements make the expansion cachable per
+    # (element slot, statics object). The caches are owned by
     # the statics object they were computed against — a rule update
     # replaces the StratifiedDatabase's statics, which drops them.
 
@@ -513,8 +515,9 @@ class Arena:
 
     def prune_paired_ids(self, slots: Set[int]) -> Set[int]:
         """Keep the paired records no *other* record dominates
-        (``other.pos ⊆ pos and other.neg ⊆ neg``) — the id-space mirror of
-        ``SetOfSetsEngine._prune_records`` with entry-bucket candidates."""
+        (``other.pos ⊆ pos and other.neg ⊆ neg``) — the entry-bucket
+        candidate generation of :meth:`prune_element_ids`, with buckets
+        tagged by side."""
         if len(slots) <= 1:
             return set(slots)
         if ASSERTION in slots:  # the trivial pair dominates everything

@@ -63,19 +63,12 @@ class MaintenanceEngine(ABC):
         method: str = "seminaive",
         granularity: str = "level",
         build: bool = True,
-        arena: bool = True,
     ):
         if isinstance(program, StratifiedDatabase):
             self.db = program.copy()
         else:
             self.db = StratifiedDatabase(program, granularity)
         self.method = method
-        # Support-carrying engines keep their bookkeeping in the interned
-        # int-slot arena (repro.core.arena) when True; arena=False retains
-        # the per-object record path as the differential-testing baseline,
-        # mirroring the materialize_deltas/delta_choice ablation idiom.
-        # Support-free engines ignore the flag.
-        self.arena = arena
         self.model = Model()
         self.planner = Planner()  # engine-owned plan cache, reused across updates
         self.totals = MaintenanceStats()

@@ -9,8 +9,10 @@ inside N_{i+2}, etc." — the cascade effect.
 
 Maintaining INC/DEC lets the supports be *one level deep*: each fact simply
 carries "the set of pointers pointing to the rules which triggered this fact"
-(:class:`~repro.core.supports.RuleRecord`); the Pos/Neg elements are the
-rules' body relations, with no signed entries and no static information.
+(one interned record slot per clause in an :class:`~repro.core.arena.Arena`,
+decoded to :class:`~repro.core.supports.RuleRecord` by ``records_of``); the
+Pos/Neg elements are the rules' body relations, with no signed entries and
+no static information.
 Because every fact produced by one delta of one rule gets the same support
 update, this is the only support form compatible with the delta-driven
 (semi-naive) mechanism — the paper's implementation argument for preferring
@@ -49,13 +51,11 @@ from .supports import RuleRecord
 class CascadeEngine(MaintenanceEngine):
     """The cascade solution of section 5.1.
 
-    With ``arena=True`` (the default) the rule-pointer supports live as
-    record slots in a :class:`~repro.core.arena.Arena` — one interned
-    record per clause, fact → {slot} in a copy-on-write table — and the
-    REMOVEPOS/REMOVENEG sweeps intersect the records' pre-extracted body
-    relation-name sets straight out of the arena columns. ``arena=False``
-    keeps the per-object :class:`~repro.core.supports.RuleRecord` path as
-    the differential baseline.
+    The rule-pointer supports live as record slots in a
+    :class:`~repro.core.arena.Arena` — one interned record per clause,
+    fact → {slot} in a copy-on-write table — and the REMOVEPOS/REMOVENEG
+    sweeps intersect the records' pre-extracted body relation-name sets
+    straight out of the arena columns.
     """
 
     name = "cascade"
@@ -74,8 +74,6 @@ class CascadeEngine(MaintenanceEngine):
             )
         self.order = order
         self.skip_strata = skip_strata
-        self._records: dict[Atom, set[RuleRecord]] = {}
-        self._record_cache: dict[Clause, RuleRecord] = {}
         self._arena = Arena()
         self._table = SupportTable()
         # clause → record slot. Engine-level (NOT a plan support template):
@@ -93,22 +91,9 @@ class CascadeEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def _reset_supports(self) -> None:
-        self._records.clear()
-        self._record_cache.clear()
         self._arena = Arena()
         self._table = SupportTable()
         self._slot_cache.clear()
-
-    def _record_for(self, clause: Clause) -> RuleRecord:
-        record = self._record_cache.get(clause)
-        if record is None:
-            record = (
-                RuleRecord.assertion()
-                if not clause.body
-                else RuleRecord.of_rule(clause)
-            )
-            self._record_cache[clause] = record
-        return record
 
     def _slot_for(self, clause: Clause) -> int:
         """The arena record slot of *clause* (one dict probe when hot)."""
@@ -121,84 +106,49 @@ class CascadeEngine(MaintenanceEngine):
         return slot
 
     def _build_listener(self):
-        if self.arena:
-            table = self._table
-            intern_atom = self._arena.intern_atom
-            slot_for = self._slot_for
-
-            def listener(derivation: Derivation, is_new: bool, plan) -> None:
-                self._derivations_fired += 1
-                table.add(
-                    intern_atom(derivation.head), slot_for(derivation.clause)
-                )
-
-            return listener
+        table = self._table
+        intern_atom = self._arena.intern_atom
+        slot_for = self._slot_for
 
         def listener(derivation: Derivation, is_new: bool, plan) -> None:
             self._derivations_fired += 1
-            # The rule-pointer record is a pure function of the clause:
-            # the plan carries it as a support template, so the hot path
-            # is one attribute-dict probe instead of hashing the clause.
-            self._records.setdefault(derivation.head, set()).add(
-                plan.support_template("rule_record", self._record_for)
+            table.add(
+                intern_atom(derivation.head), slot_for(derivation.clause)
             )
 
         return listener
 
     def _register_assertion(self, fact: Atom) -> None:
-        if self.arena:
-            self._table.add(self._arena.intern_atom(fact), ASSERTION)
-        else:
-            self._records.setdefault(fact, set()).add(RuleRecord.assertion())
+        self._table.add(self._arena.intern_atom(fact), ASSERTION)
 
     def records_of(self, fact: Atom) -> set[RuleRecord]:
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            records = None if slot is None else self._table.get(slot)
-            if records is None:
-                raise KeyError(fact)
-            decode = self._arena.decode_rule_record
-            return {decode(record) for record in records}
-        return self._records[fact]
+        slot = self._arena.atom_id(fact)
+        records = None if slot is None else self._table.get(slot)
+        if records is None:
+            raise KeyError(fact)
+        decode = self._arena.decode_rule_record
+        return {decode(record) for record in records}
 
     def support_entry_count(self) -> int:
-        if self.arena:
-            return sum(len(records) for records in self._table.values())
-        return sum(len(records) for records in self._records.values())
+        return sum(len(records) for records in self._table.values())
 
     def _support_state(self) -> dict:
-        if self.arena:
-            return {
-                "records": ArenaRuleRecords(self._arena, self._table.copy())
-            }
-        return {
-            "records": {
-                fact: set(records) for fact, records in self._records.items()
-            }
-        }
+        return {"records": ArenaRuleRecords(self._arena, self._table.copy())}
 
     def _live_support_state(self) -> dict:
-        if self.arena:
-            # Uncopied live table: preserves _owned for O(changed) diffs.
-            return {"records": ArenaRuleRecords(self._arena, self._table)}
-        return self._support_state()
+        # Uncopied live table: preserves _owned for O(changed) diffs.
+        return {"records": ArenaRuleRecords(self._arena, self._table)}
 
     def _load_support_state(self, state: dict) -> None:
-        self._reset_supports()
+        self._slot_cache.clear()
         self._cluster_cache.clear()
         self._cluster_cache_owner = None
         records = state["records"]
-        if self.arena:
-            if not isinstance(records, ArenaRuleRecords):
-                records = ArenaRuleRecords.from_records(records)
-            self._arena = records.arena
-            self._table = records.table.copy()
-        else:
-            if isinstance(records, ArenaRuleRecords):
-                records = records.to_record_state()
-            self._records = {
-                fact: set(entries) for fact, entries in records.items()
-            }
+        if not isinstance(records, ArenaRuleRecords):
+            # v1 snapshots and legacy states carry {fact: {RuleRecord}}
+            records = ArenaRuleRecords.from_records(records)
+        self._arena = records.arena
+        self._table = records.table.copy()
 
     # ------------------------------------------------------------------
     # The three procedures of section 5.1
@@ -206,12 +156,9 @@ class CascadeEngine(MaintenanceEngine):
 
     def _evict(self, fact: Atom) -> None:
         self.model.discard(fact)
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            if slot is not None:
-                self._table.pop(slot)
-        else:
-            self._records.pop(fact, None)
+        slot = self._arena.atom_id(fact)
+        if slot is not None:
+            self._table.pop(slot)
 
     def _stratum_facts(self, stratum: Stratum) -> list[Atom]:
         return [
@@ -289,58 +236,34 @@ class CascadeEngine(MaintenanceEngine):
         if not driving:
             return evicted
         with OBS.span("phase:removepos") as span:
-            if self.arena:
-                arena = self._arena
-                atom_id = arena.atom_id
-                table = self._table
-                body_pos = arena.rule_record_pos
-                changed = True
-                while changed:
-                    changed = False
-                    for fact in self._stratum_facts(stratum):
-                        slot = atom_id(fact)
-                        records = None if slot is None else table.get(slot)
-                        if records is None:
-                            continue
-                        dead = {
-                            record
-                            for record in records
-                            if body_pos[record] & driving
-                        }
-                        if not dead:
-                            continue
-                        if killed_relations is not None:
-                            killed_relations.add(fact.relation)
-                        if dead == records:
-                            self._evict(fact)
-                            evicted.add(fact)
-                            driving.add(fact.relation)
-                            changed = True
-                        else:
-                            table.discard_many(slot, dead)
-            else:
-                changed = True
-                while changed:
-                    changed = False
-                    for fact in self._stratum_facts(stratum):
-                        records = self._records.get(fact)
-                        if records is None:
-                            continue
-                        dead = {
-                            record
-                            for record in records
-                            if record.positive_relations & driving
-                        }
-                        if not dead:
-                            continue
-                        records -= dead
-                        if killed_relations is not None:
-                            killed_relations.add(fact.relation)
-                        if not records:
-                            self._evict(fact)
-                            evicted.add(fact)
-                            driving.add(fact.relation)
-                            changed = True
+            arena = self._arena
+            atom_id = arena.atom_id
+            table = self._table
+            body_pos = arena.rule_record_pos
+            changed = True
+            while changed:
+                changed = False
+                for fact in self._stratum_facts(stratum):
+                    slot = atom_id(fact)
+                    records = None if slot is None else table.get(slot)
+                    if records is None:
+                        continue
+                    dead = {
+                        record
+                        for record in records
+                        if body_pos[record] & driving
+                    }
+                    if not dead:
+                        continue
+                    if killed_relations is not None:
+                        killed_relations.add(fact.relation)
+                    if dead == records:
+                        self._evict(fact)
+                        evicted.add(fact)
+                        driving.add(fact.relation)
+                        changed = True
+                    else:
+                        table.discard_many(slot, dead)
             if span:
                 span.set("evicted", len(evicted))
         return evicted
@@ -358,60 +281,39 @@ class CascadeEngine(MaintenanceEngine):
         further REMOVENEG work in the same stratum — but they can trigger
         positive cascades, which the caller hands back to REMOVEPOS.
 
-        *fresh* (saturate-first order only) lists the (fact, record) pairs
-        re-validated by this update's own saturation of the stratum —
-        ``(Atom, RuleRecord)`` pairs in record mode, ``(atom slot, record
-        slot)`` int pairs in arena mode; their negation tests already ran
-        against the final lower strata, so they are sound to keep.
+        *fresh* (saturate-first order only) lists the ``(atom slot, record
+        slot)`` pairs re-validated by this update's own saturation of the
+        stratum; their negation tests already ran against the final lower
+        strata, so they are sound to keep.
         """
         evicted: set[Atom] = set()
         if not increased:
             return evicted
         with OBS.span("phase:removeneg") as span:
-            if self.arena:
-                arena = self._arena
-                atom_id = arena.atom_id
-                table = self._table
-                body_neg = arena.rule_record_neg
-                for fact in self._stratum_facts(stratum):
-                    slot = atom_id(fact)
-                    records = None if slot is None else table.get(slot)
-                    if records is None:
-                        continue
-                    dead = {
-                        record
-                        for record in records
-                        if body_neg[record] & increased
-                        and (slot, record) not in fresh
-                    }
-                    if not dead:
-                        continue
-                    if killed_relations is not None:
-                        killed_relations.add(fact.relation)
-                    if dead == records:
-                        self._evict(fact)
-                        evicted.add(fact)
-                    else:
-                        table.discard_many(slot, dead)
-            else:
-                for fact in self._stratum_facts(stratum):
-                    records = self._records.get(fact)
-                    if records is None:
-                        continue
-                    dead = {
-                        record
-                        for record in records
-                        if record.negated_relations & increased
-                        and (fact, record) not in fresh
-                    }
-                    if not dead:
-                        continue
-                    records -= dead
-                    if killed_relations is not None:
-                        killed_relations.add(fact.relation)
-                    if not records:
-                        self._evict(fact)
-                        evicted.add(fact)
+            arena = self._arena
+            atom_id = arena.atom_id
+            table = self._table
+            body_neg = arena.rule_record_neg
+            for fact in self._stratum_facts(stratum):
+                slot = atom_id(fact)
+                records = None if slot is None else table.get(slot)
+                if records is None:
+                    continue
+                dead = {
+                    record
+                    for record in records
+                    if body_neg[record] & increased
+                    and (slot, record) not in fresh
+                }
+                if not dead:
+                    continue
+                if killed_relations is not None:
+                    killed_relations.add(fact.relation)
+                if dead == records:
+                    self._evict(fact)
+                    evicted.add(fact)
+                else:
+                    table.discard_many(slot, dead)
             if span:
                 span.set("evicted", len(evicted))
         return evicted
@@ -476,7 +378,7 @@ class CascadeEngine(MaintenanceEngine):
         hypothesis lost tuples (a decrease can enable new instances), rules
         whose head relation just lost facts (to re-derive survivors), and
         freshly inserted rules. *journal*, when given, collects the
-        (fact, record) pairs this saturation validated.
+        (atom slot, record slot) pairs this saturation validated.
         """
         seed_rules = set(seed_rules)
         full_fire = {
@@ -492,7 +394,7 @@ class CascadeEngine(MaintenanceEngine):
         base_listener = self._build_listener()
         if journal is None:
             listener = base_listener
-        elif self.arena:
+        else:
             intern_atom = self._arena.intern_atom
             slot_for = self._slot_for
 
@@ -501,13 +403,6 @@ class CascadeEngine(MaintenanceEngine):
                 journal.add(
                     (intern_atom(derivation.head),
                      slot_for(derivation.clause))
-                )
-        else:
-
-            def listener(derivation: Derivation, is_new: bool, plan) -> None:
-                base_listener(derivation, is_new, plan)
-                journal.add(
-                    (derivation.head, self._record_for(derivation.clause))
                 )
 
         with OBS.span("phase:saturate") as span:
@@ -735,71 +630,38 @@ class CascadeEngine(MaintenanceEngine):
             if fact in self.model:
                 self._register_assertion(fact)
         self.model.add_many(fresh)
-        if self.arena:
-            arena = self._arena
-            table = self._table
-            for fact in fresh:
-                table.replace(arena.intern_atom(fact), {ASSERTION})
-                inc.setdefault(fact.relation, set()).add(fact.args)
-            for rule in net_gone_rules:
-                target = arena.rule_record_id(rule)
-                if target is None:  # never fired: no records point at it
-                    continue
-                for fact in list(self.model.facts_of(rule.head.relation)):
-                    slot = arena.atom_id(fact)
-                    records = None if slot is None else table.get(slot)
-                    if records and target in records:
-                        table.discard(slot, target)
-                        seed_killed.add(fact.relation)
-                        if not table.get(slot):
-                            self._evict(fact)
-                            removed.add(fact)
-                            dec.setdefault(fact.relation, set()).add(
-                                fact.args
-                            )
-                            seed_evicted.add(fact.relation)
-            for fact in net_gone_facts:
+        arena = self._arena
+        table = self._table
+        for fact in fresh:
+            table.replace(arena.intern_atom(fact), {ASSERTION})
+            inc.setdefault(fact.relation, set()).add(fact.args)
+        for rule in net_gone_rules:
+            target = arena.rule_record_id(rule)
+            if target is None:  # never fired: no records point at it
+                continue
+            for fact in list(self.model.facts_of(rule.head.relation)):
                 slot = arena.atom_id(fact)
                 records = None if slot is None else table.get(slot)
-                if records is None:
-                    continue
-                table.discard(slot, ASSERTION)
-                seed_killed.add(fact.relation)
-                if not table.get(slot):
-                    self._evict(fact)
-                    removed.add(fact)
-                    dec.setdefault(fact.relation, set()).add(fact.args)
-                    seed_evicted.add(fact.relation)
-        else:
-            assertion = RuleRecord.assertion()
-            for fact in fresh:
-                self._records[fact] = {assertion}
-                inc.setdefault(fact.relation, set()).add(fact.args)
-            for rule in net_gone_rules:
-                target = self._record_for(rule)
-                for fact in list(self.model.facts_of(rule.head.relation)):
-                    records = self._records.get(fact)
-                    if records and target in records:
-                        records.discard(target)
-                        seed_killed.add(fact.relation)
-                        if not records:
-                            self._evict(fact)
-                            removed.add(fact)
-                            dec.setdefault(fact.relation, set()).add(
-                                fact.args
-                            )
-                            seed_evicted.add(fact.relation)
-            for fact in net_gone_facts:
-                records = self._records.get(fact)
-                if records is None:
-                    continue
-                records.discard(assertion)
-                seed_killed.add(fact.relation)
-                if not records:
-                    self._evict(fact)
-                    removed.add(fact)
-                    dec.setdefault(fact.relation, set()).add(fact.args)
-                    seed_evicted.add(fact.relation)
+                if records and target in records:
+                    table.discard(slot, target)
+                    seed_killed.add(fact.relation)
+                    if not table.get(slot):
+                        self._evict(fact)
+                        removed.add(fact)
+                        dec.setdefault(fact.relation, set()).add(fact.args)
+                        seed_evicted.add(fact.relation)
+        for fact in net_gone_facts:
+            slot = arena.atom_id(fact)
+            records = None if slot is None else table.get(slot)
+            if records is None:
+                continue
+            table.discard(slot, ASSERTION)
+            seed_killed.add(fact.relation)
+            if not table.get(slot):
+                self._evict(fact)
+                removed.add(fact)
+                dec.setdefault(fact.relation, set()).add(fact.args)
+                seed_evicted.add(fact.relation)
 
         affected = (
             {relation for relation, rows in inc.items() if rows}
@@ -845,10 +707,7 @@ class CascadeEngine(MaintenanceEngine):
 
     def _apply_insert_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
         self.model.add(fact)
-        if self.arena:
-            self._table.replace(self._arena.intern_atom(fact), {ASSERTION})
-        else:
-            self._records[fact] = {RuleRecord.assertion()}
+        self._table.replace(self._arena.intern_atom(fact), {ASSERTION})
         inc = {fact.relation: {fact.args}}
         removed, added = self._run_cascade(
             self.db.stratum_of(fact.relation), inc, {}
@@ -856,18 +715,12 @@ class CascadeEngine(MaintenanceEngine):
         return removed, added | {fact}
 
     def _apply_delete_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            records = None if slot is None else self._table.get(slot)
-            had_assertion = bool(records) and ASSERTION in records
-            if had_assertion:
-                self._table.discard(slot, ASSERTION)
-            survivors = bool(self._table.get(slot)) if slot is not None else False
-        else:
-            records = self._records.get(fact, set())
-            had_assertion = RuleRecord.assertion() in records
-            records.discard(RuleRecord.assertion())
-            survivors = bool(records)
+        slot = self._arena.atom_id(fact)
+        records = None if slot is None else self._table.get(slot)
+        had_assertion = bool(records) and ASSERTION in records
+        if had_assertion:
+            self._table.discard(slot, ASSERTION)
+        survivors = bool(self._table.get(slot)) if slot is not None else False
         if survivors:
             # Other deductions keep the fact alive — unless its relation
             # sits on a recursive cluster, where the surviving records may
@@ -913,29 +766,17 @@ class CascadeEngine(MaintenanceEngine):
         head = rule.head.relation
         dec: dict[str, set[tuple]] = {}
         evicted: set[Atom] = set()
-        if self.arena:
-            arena = self._arena
-            table = self._table
-            target_slot = arena.rule_record_id(rule)
-            if target_slot is not None:
-                for fact in list(self.model.facts_of(head)):
-                    slot = arena.atom_id(fact)
-                    records = None if slot is None else table.get(slot)
-                    if records is None or target_slot not in records:
-                        continue
-                    table.discard(slot, target_slot)
-                    if not table.get(slot):
-                        self._evict(fact)
-                        evicted.add(fact)
-                        dec.setdefault(head, set()).add(fact.args)
-        else:
-            target = self._record_cache.get(rule, RuleRecord.of_rule(rule))
+        arena = self._arena
+        table = self._table
+        target_slot = arena.rule_record_id(rule)
+        if target_slot is not None:
             for fact in list(self.model.facts_of(head)):
-                records = self._records.get(fact)
-                if records is None or target not in records:
+                slot = arena.atom_id(fact)
+                records = None if slot is None else table.get(slot)
+                if records is None or target_slot not in records:
                     continue
-                records.discard(target)
-                if not records:
+                table.discard(slot, target_slot)
+                if not table.get(slot):
                     self._evict(fact)
                     evicted.add(fact)
                     dec.setdefault(head, set()).add(fact.args)

@@ -12,9 +12,11 @@ mechanism and the bookkeeping cost is prohibitive]."
 This engine implements that rejected-but-interesting solution so the
 trade-off can be measured (experiments E7, E8, E12):
 
-* every ground deduction is kept as a :class:`~repro.core.supports.FactRecord`
-  (rule, positive body *facts*, negated ground *atoms*) — a ground
-  justification network, exactly a Doyle-style TMS;
+* every ground deduction is kept as a fact record (rule, positive body
+  *facts*, negated ground *atoms*) — a ground justification network,
+  exactly a Doyle-style TMS. Records are int slots in an
+  :class:`~repro.core.arena.Arena`; ``records_of`` decodes them to
+  :class:`~repro.core.supports.FactRecord` objects on demand;
 * an update kills precisely the records whose negative facts appeared or
   whose positive facts disappeared;
 * a fact is evicted only when it has no *well-founded* record left — the
@@ -40,27 +42,19 @@ from .base import MaintenanceEngine
 from .supports import FactRecord
 
 
-def _make_assertion_record(_clause) -> FactRecord:
-    return FactRecord.assertion()
-
-
 class FactLevelEngine(MaintenanceEngine):
     """Fact-level supports keeping all deductions (section 5.2 discussion).
 
-    This is the engine the support arena pays off most for: its
-    bookkeeping is the largest of any solution (one record per ground
-    deduction), and with ``arena=True`` (the default) it lives as int
-    slots in a shared :class:`~repro.core.arena.Arena` — kills and
-    groundedness checks intersect frozensets of ints, checkpoints copy
-    one copy-on-write table. ``arena=False`` keeps the per-object
-    :class:`~repro.core.supports.FactRecord` path as the differential
-    baseline.
+    Its bookkeeping is the largest of any solution (one record per
+    ground deduction). It lives as int slots in a shared
+    :class:`~repro.core.arena.Arena`: kills and groundedness checks
+    intersect frozensets of ints, and a checkpoint copies one
+    copy-on-write :class:`~repro.core.arena.SupportTable`.
     """
 
     name = "factlevel"
 
     def __init__(self, program, **kwargs):
-        self._records: dict[Atom, set[FactRecord]] = {}
         self._arena = Arena()
         self._table = SupportTable()
         super().__init__(program, **kwargs)
@@ -70,123 +64,70 @@ class FactLevelEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def _reset_supports(self) -> None:
-        self._records.clear()
         self._arena = Arena()
         self._table = SupportTable()
 
     def _build_listener(self):
-        if self.arena:
-            arena = self._arena
-            table = self._table
-            intern_atom = arena.intern_atom
-
-            def listener(derivation: Derivation, is_new: bool, plan) -> None:
-                self._derivations_fired += 1
-                if not derivation.clause.body:
-                    slot = ASSERTION
-                else:
-                    slot = arena.intern_fact_record(
-                        arena.intern_rule(derivation.clause),
-                        frozenset(
-                            intern_atom(fact)
-                            for fact in derivation.positive_facts
-                        ),
-                        frozenset(
-                            intern_atom(atom)
-                            for atom in derivation.negative_atoms
-                        ),
-                    )
-                table.add(intern_atom(derivation.head), slot)
-
-            return listener
+        arena = self._arena
+        table = self._table
+        intern_atom = arena.intern_atom
 
         def listener(derivation: Derivation, is_new: bool, plan) -> None:
             self._derivations_fired += 1
             if not derivation.clause.body:
-                # the assertion record is clause-independent; the plan
-                # template just avoids re-allocating it per derivation
-                record = plan.support_template(
-                    "fact_assertion", _make_assertion_record
-                )
+                slot = ASSERTION
             else:
-                # fact-level records cite ground body facts, so only the
-                # clause pointer is plan-level; the frozensets are
-                # inherently per-derivation
-                record = FactRecord(
-                    derivation.clause,
-                    frozenset(derivation.positive_facts),
-                    frozenset(derivation.negative_atoms),
+                slot = arena.intern_fact_record(
+                    arena.intern_rule(derivation.clause),
+                    frozenset(
+                        intern_atom(fact)
+                        for fact in derivation.positive_facts
+                    ),
+                    frozenset(
+                        intern_atom(atom)
+                        for atom in derivation.negative_atoms
+                    ),
                 )
-            self._records.setdefault(derivation.head, set()).add(record)
+            table.add(intern_atom(derivation.head), slot)
 
         return listener
 
     def _register_assertion(self, fact: Atom) -> None:
-        if self.arena:
-            self._table.add(self._arena.intern_atom(fact), ASSERTION)
-        else:
-            self._records.setdefault(fact, set()).add(FactRecord.assertion())
+        self._table.add(self._arena.intern_atom(fact), ASSERTION)
 
     def records_of(self, fact: Atom) -> set[FactRecord]:
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            records = None if slot is None else self._table.get(slot)
-            if records is None:
-                raise KeyError(fact)
-            decode = self._arena.decode_fact_record
-            return {decode(record) for record in records}
-        return self._records[fact]
+        slot = self._arena.atom_id(fact)
+        records = None if slot is None else self._table.get(slot)
+        if records is None:
+            raise KeyError(fact)
+        decode = self._arena.decode_fact_record
+        return {decode(record) for record in records}
 
     def support_entry_count(self) -> int:
-        if self.arena:
-            size = self._arena.fact_record_size
-            return sum(
-                size(record)
-                for records in self._table.values()
-                for record in records
-            )
+        size = self._arena.fact_record_size
         return sum(
-            record.size()
-            for records in self._records.values()
+            size(record)
+            for records in self._table.values()
             for record in records
         )
 
     def _support_state(self) -> dict:
-        if self.arena:
-            # The arena is shared (append-only: existing slots never
-            # change meaning), the table is copy-on-write — taking a
-            # support snapshot is O(facts with support), not O(entries).
-            return {
-                "records": ArenaFactRecords(self._arena, self._table.copy())
-            }
-        return {
-            "records": {
-                fact: set(records) for fact, records in self._records.items()
-            }
-        }
+        # The arena is shared (append-only: existing slots never change
+        # meaning), the table is copy-on-write — taking a support
+        # snapshot is O(facts with support), not O(entries).
+        return {"records": ArenaFactRecords(self._arena, self._table.copy())}
 
     def _live_support_state(self) -> dict:
-        if self.arena:
-            # Uncopied live table: preserves _owned for O(changed) diffs.
-            return {"records": ArenaFactRecords(self._arena, self._table)}
-        return self._support_state()
+        # Uncopied live table: preserves _owned for O(changed) diffs.
+        return {"records": ArenaFactRecords(self._arena, self._table)}
 
     def _load_support_state(self, state: dict) -> None:
         records = state["records"]
-        if self.arena:
-            if not isinstance(records, ArenaFactRecords):
-                records = ArenaFactRecords.from_records(records)
-            self._arena = records.arena
-            self._table = records.table.copy()
-            self._records = {}
-        else:
-            if isinstance(records, ArenaFactRecords):
-                records = records.to_record_state()
-            self._records = {
-                fact: set(entries) for fact, entries in records.items()
-            }
-            self._arena = Arena()
-            self._table = SupportTable()
+        if not isinstance(records, ArenaFactRecords):
+            # v1 snapshots and legacy states carry {fact: {FactRecord}}
+            records = ArenaFactRecords.from_records(records)
+        self._arena = records.arena
+        self._table = records.table.copy()
 
     # ------------------------------------------------------------------
     # The cascade at fact granularity
@@ -194,12 +135,9 @@ class FactLevelEngine(MaintenanceEngine):
 
     def _evict(self, fact: Atom) -> None:
         self.model.discard(fact)
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            if slot is not None:
-                self._table.pop(slot)
-        else:
-            self._records.pop(fact, None)
+        slot = self._arena.atom_id(fact)
+        if slot is not None:
+            self._table.pop(slot)
 
     def _saturate(
         self,
@@ -280,31 +218,9 @@ class FactLevelEngine(MaintenanceEngine):
         self, stratum: Stratum, inc_facts: set[Atom], dec_facts: set[Atom]
     ) -> bool:
         """Kill exactly the records invalidated by the update. Returns
-        whether anything was killed (triggering a groundedness pass)."""
-        if self.arena:
-            return self._kill_records_arena(stratum, inc_facts, dec_facts)
-        heads = self._vulnerable_heads(stratum, inc_facts, dec_facts)
-        killed = False
-        for relation in stratum.relations & heads:
-            for fact in list(self.model.facts_of(relation)):
-                records = self._records.get(fact)
-                if not records:
-                    continue
-                dead = {
-                    record
-                    for record in records
-                    if record.negative_facts & inc_facts
-                    or record.positive_facts & dec_facts
-                }
-                if dead:
-                    records -= dead
-                    killed = True
-        return killed
+        whether anything was killed (triggering a groundedness pass).
 
-    def _kill_records_arena(
-        self, stratum: Stratum, inc_facts: set[Atom], dec_facts: set[Atom]
-    ) -> bool:
-        """The kill sweep in id space: two int-set intersections per
+        The sweep runs in id space: two int-set intersections per
         record. A changed fact that was never interned cannot appear in
         any record, so un-interned facts drop out up front."""
         arena = self._arena
@@ -352,6 +268,12 @@ class FactLevelEngine(MaintenanceEngine):
         strata, so presence must be checked, not assumed) or has itself
         been validated. Iterating to a fixpoint from below rejects mutually
         supporting positive cycles.
+
+        The groundedness fixpoint runs over atom slots. The "body fact
+        lives below this stratum and is still in the model" predicate is
+        memoised per slot across the whole fixpoint — the record graph
+        cites the same lower-stratum facts over and over, and in id space
+        the memo is one dict probe.
         """
         index = stratum.index
         stratum_of = self.db.stratification.stratum_of
@@ -360,47 +282,6 @@ class FactLevelEngine(MaintenanceEngine):
             for relation in stratum.relations
             for fact in self.model.facts_of(relation)
         ]
-        if self.arena:
-            evicted = self._well_founded_arena(candidates, index, stratum_of)
-        else:
-            validated: set[Atom] = set()
-            changed = True
-            while changed:
-                changed = False
-                for fact in candidates:
-                    if fact in validated:
-                        continue
-                    for record in self._records.get(fact, ()):
-                        grounded = all(
-                            body in validated
-                            or (
-                                stratum_of(body.relation) < index
-                                and body in self.model
-                            )
-                            for body in record.positive_facts
-                        )
-                        if grounded:
-                            validated.add(fact)
-                            changed = True
-                            break
-            evicted = {fact for fact in candidates if fact not in validated}
-        for fact in evicted:
-            self._evict(fact)
-        span = OBS.tracer.current if OBS.enabled else None
-        if span is not None:
-            span.event("well_founded_check", evicted=len(evicted))
-        return evicted
-
-    def _well_founded_arena(
-        self, candidates: list[Atom], index: int, stratum_of
-    ) -> set[Atom]:
-        """The groundedness fixpoint over atom slots.
-
-        The "body fact lives below this stratum and is still in the
-        model" predicate is memoised per slot across the whole fixpoint —
-        the record graph cites the same lower-stratum facts over and over,
-        and in id space the memo is one dict probe.
-        """
         arena = self._arena
         atom_id = arena.atom_id
         atoms = arena.atoms
@@ -436,11 +317,17 @@ class FactLevelEngine(MaintenanceEngine):
                         validated.add(slot)
                         changed = True
                         break
-        return {
+        evicted = {
             fact
             for fact in candidates
             if slot_of[fact] is None or slot_of[fact] not in validated
         }
+        for fact in evicted:
+            self._evict(fact)
+        span = OBS.tracer.current if OBS.enabled else None
+        if span is not None:
+            span.event("well_founded_check", evicted=len(evicted))
+        return evicted
 
     def _run_cascade(
         self,
@@ -520,23 +407,16 @@ class FactLevelEngine(MaintenanceEngine):
 
     def _apply_insert_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
         self.model.add(fact)
-        if self.arena:
-            self._table.replace(self._arena.intern_atom(fact), {ASSERTION})
-        else:
-            self._records[fact] = {FactRecord.assertion()}
+        self._table.replace(self._arena.intern_atom(fact), {ASSERTION})
         removed, added = self._run_cascade(
             self.db.stratum_of(fact.relation), {fact}, set()
         )
         return removed, added | {fact}
 
     def _apply_delete_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            if slot is not None:
-                self._table.discard(slot, ASSERTION)
-        else:
-            records = self._records.get(fact, set())
-            records.discard(FactRecord.assertion())
+        slot = self._arena.atom_id(fact)
+        if slot is not None:
+            self._table.discard(slot, ASSERTION)
         # The fact may survive through other deductions; the well-founded
         # check at its stratum decides (and handles positive cycles whose
         # only external support was this assertion).
@@ -560,50 +440,33 @@ class FactLevelEngine(MaintenanceEngine):
         head = rule.head.relation
         killed = False
         dec_facts: set[Atom] = set()
-        if self.arena:
-            arena = self._arena
-            table = self._table
-            rule_slot = arena.rule_id(rule)
-            fact_rule = arena.fact_rule
-            if rule_slot is not None:  # a never-fired rule has no records
-                for fact in list(self.model.facts_of(head)):
-                    slot = arena.atom_id(fact)
-                    records = None if slot is None else table.get(slot)
-                    if not records:
-                        continue
-                    dead = {
-                        record
-                        for record in records
-                        if fact_rule[record] == rule_slot
-                    }
-                    if dead:
-                        killed = True
-                        if dead == records:
-                            # Evict here rather than in the stratum sweep:
-                            # deleting the relation's last rule can drop it
-                            # out of the stratification entirely, in which
-                            # case no stratum would ever visit these facts
-                            # again.
-                            self._evict(fact)
-                            dec_facts.add(fact)
-                        else:
-                            table.discard_many(slot, dead)
-        else:
+        arena = self._arena
+        table = self._table
+        rule_slot = arena.rule_id(rule)
+        fact_rule = arena.fact_rule
+        if rule_slot is not None:  # a never-fired rule has no records
             for fact in list(self.model.facts_of(head)):
-                records = self._records.get(fact)
+                slot = arena.atom_id(fact)
+                records = None if slot is None else table.get(slot)
                 if not records:
                     continue
-                dead = {record for record in records if record.rule == rule}
+                dead = {
+                    record
+                    for record in records
+                    if fact_rule[record] == rule_slot
+                }
                 if dead:
-                    records -= dead
                     killed = True
-                    if not records:
+                    if dead == records:
                         # Evict here rather than in the stratum sweep:
-                        # deleting the relation's last rule can drop it out
-                        # of the stratification entirely, in which case no
-                        # stratum would ever visit these facts again.
+                        # deleting the relation's last rule can drop it
+                        # out of the stratification entirely, in which
+                        # case no stratum would ever visit these facts
+                        # again.
                         self._evict(fact)
                         dec_facts.add(fact)
+                    else:
+                        table.discard_many(slot, dead)
         removed, added = self._run_cascade(
             self.db.stratum_of(head),
             set(),

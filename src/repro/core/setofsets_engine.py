@@ -22,6 +22,11 @@ Two modes:
   kept linked in a :class:`~repro.core.supports.PairedRecord`; a record dies
   when either side fails and the fact is evicted when no record remains.
   This restores soundness across sequences at the same asymptotic cost.
+
+Elements and paired records are interned in an
+:class:`~repro.core.arena.Arena`; ⊕, minimality pruning and the removal
+passes run over element ids, and ``support_of``/``records_of`` decode to the
+:mod:`repro.core.supports` objects on demand.
 """
 
 from __future__ import annotations
@@ -39,15 +44,7 @@ from .arena import (
     SupportTable,
 )
 from .base import MaintenanceEngine
-from .supports import (
-    PairedRecord,
-    SetOfSetsSupport,
-    Signed,
-    combine,
-    expand_neg_element,
-    expand_pos_element,
-    prune_to_minimal,
-)
+from .supports import PairedRecord, SetOfSetsSupport, Signed
 
 
 class SetOfSetsEngine(MaintenanceEngine):
@@ -67,8 +64,6 @@ class SetOfSetsEngine(MaintenanceEngine):
             raise ValueError(f"unknown mode {mode!r}; use 'paper' or 'paired'")
         self.mode = mode
         self.prune = prune
-        self._supports: dict[Atom, SetOfSetsSupport] = {}
-        self._records: dict[Atom, set[PairedRecord]] = {}
         self._arena = Arena()
         self._pos_table = SupportTable()  # paper: {atom slot: element ids}
         self._neg_table = SupportTable()
@@ -85,8 +80,6 @@ class SetOfSetsEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def _reset_supports(self) -> None:
-        self._supports.clear()
-        self._records.clear()
         self._arena = Arena()
         self._pos_table = SupportTable()
         self._neg_table = SupportTable()
@@ -96,30 +89,22 @@ class SetOfSetsEngine(MaintenanceEngine):
     def _build_listener(self):
         def listener(derivation: Derivation, is_new: bool, plan) -> None:
             self._derivations_fired += 1
-            self._note_deduction(derivation, plan)
+            self._note_deduction(derivation)
 
         return listener
 
-    @staticmethod
-    def _base_elements(clause) -> tuple[frozenset, frozenset]:
-        """The clause-level (Pos element, Neg element) contribution.
-
-        Only the rule's body relations matter, so the pair is built once
-        per clause and attached to the plan as a support template.
-        """
-        negated = tuple(lit.relation for lit in clause.negative_body)
-        base_pos = frozenset(
-            {lit.relation for lit in clause.positive_body}
-            | {Signed("-", relation) for relation in negated}
-        )
-        base_neg = frozenset(Signed("+", relation) for relation in negated)
-        return base_pos, base_neg
-
     def _base_slots(self, clause) -> tuple[int, int]:
-        """Arena ids of the clause-level (Pos, Neg) base elements."""
+        """Arena ids of the clause-level (Pos element, Neg element)
+        contribution. Only the rule's body relations matter, so the pair
+        is interned once per clause."""
         slots = self._base_cache.get(clause)
         if slots is None:
-            base_pos, base_neg = self._base_elements(clause)
+            negated = tuple(lit.relation for lit in clause.negative_body)
+            base_pos = frozenset(
+                {lit.relation for lit in clause.positive_body}
+                | {Signed("-", relation) for relation in negated}
+            )
+            base_neg = frozenset(Signed("+", relation) for relation in negated)
             slots = (
                 self._arena.intern_element_entries(base_pos),
                 self._arena.intern_element_entries(base_neg),
@@ -127,36 +112,7 @@ class SetOfSetsEngine(MaintenanceEngine):
             self._base_cache[clause] = slots
         return slots
 
-    def _note_deduction(self, derivation: Derivation, plan) -> None:
-        if self.arena:
-            self._note_deduction_arena(derivation)
-            return
-        base_pos, base_neg = plan.support_template(
-            "sos_base", self._base_elements
-        )
-        if self.mode == "paper":
-            pos_factors = [
-                self._supports[fact].pos for fact in derivation.positive_facts
-            ]
-            neg_factors = [
-                self._supports[fact].neg for fact in derivation.positive_facts
-            ]
-            support = self._supports.setdefault(
-                derivation.head, SetOfSetsSupport()
-            )
-            support.pos |= combine(pos_factors + [{base_pos}])
-            support.neg |= combine(neg_factors + [{base_neg}])
-            if self.prune:
-                support.pos = prune_to_minimal(support.pos)
-                support.neg = prune_to_minimal(support.neg)
-        else:
-            body_records = [
-                self._records[fact] for fact in derivation.positive_facts
-            ]
-            records = self._records.setdefault(derivation.head, set())
-            self._combine_records(records, body_records, base_pos, base_neg)
-
-    def _note_deduction_arena(self, derivation: Derivation) -> None:
+    def _note_deduction(self, derivation: Derivation) -> None:
         """⊕ carried out entirely in element-id space.
 
         Body supports arrive as sets of interned element (or paired-record)
@@ -227,114 +183,27 @@ class SetOfSetsEngine(MaintenanceEngine):
             }
         return result
 
-    def _combine_records(
-        self,
-        records: set[PairedRecord],
-        body_records: list[set[PairedRecord]],
-        base_pos: frozenset,
-        base_neg: frozenset,
-    ) -> None:
-        """⊕ over linked (Pos, Neg) pairs instead of each side separately."""
-        choices: list[PairedRecord] = [PairedRecord(base_pos, base_neg)]
-        for factor in body_records:
-            choices = [
-                PairedRecord(choice.pos | record.pos, choice.neg | record.neg)
-                for choice in choices
-                for record in factor
-            ]
-        records.update(choices)
-        if self.prune:
-            self._prune_records(records)
-
-    @staticmethod
-    def _prune_records(records: set[PairedRecord]) -> None:
-        """Keep the records no other record dominates on both sides.
-
-        Same entry-bucket candidate generation as
-        :func:`~repro.core.supports.prune_to_minimal`, with buckets tagged
-        by side — a dominating record's entries all appear in the
-        dominated one's, on the matching side. A record can only dominate
-        from a smaller-or-equal total size, so ascending-size order makes
-        the surviving antichain canonical.
-        """
-        if len(records) <= 1:
-            return
-        trivial = PairedRecord.trivial()
-        if trivial in records:  # ∅/∅ dominates everything
-            records.clear()
-            records.add(trivial)
-            return
-        ordered = sorted(records, key=lambda r: (len(r.pos) + len(r.neg)))
-        kept: list[PairedRecord] = []
-        by_entry: dict[tuple[str, object], list[int]] = {}
-        for record in ordered:
-            dominated = False
-            seen: set[int] = set()
-            for side, element in (("p", record.pos), ("n", record.neg)):
-                for entry in element:
-                    for index in by_entry.get((side, entry), ()):
-                        if index in seen:
-                            continue
-                        seen.add(index)
-                        other = kept[index]
-                        if (
-                            other.pos <= record.pos
-                            and other.neg <= record.neg
-                        ):
-                            dominated = True
-                            break
-                    if dominated:
-                        break
-                if dominated:
-                    break
-            if dominated:
-                continue
-            index = len(kept)
-            kept.append(record)
-            for entry in record.pos:
-                by_entry.setdefault(("p", entry), []).append(index)
-            for entry in record.neg:
-                by_entry.setdefault(("n", entry), []).append(index)
-        records.clear()
-        records.update(kept)
-
     def _register_assertion(self, fact: Atom) -> None:
-        if self.arena:
-            arena = self._arena
-            slot = arena.intern_atom(fact)
-            if self.mode == "paper":
-                pos_ids = set(self._pos_table.get(slot) or ())
-                neg_ids = set(self._neg_table.get(slot) or ())
-                pos_ids.add(EMPTY_ELEMENT)
-                neg_ids.add(EMPTY_ELEMENT)
-                if self.prune:
-                    pos_ids = set(arena.prune_element_ids(pos_ids))
-                    neg_ids = set(arena.prune_element_ids(neg_ids))
-                self._pos_table.replace(slot, pos_ids)
-                self._neg_table.replace(slot, neg_ids)
-            else:
-                record_ids = set(self._rec_table.get(slot) or ())
-                record_ids.add(ASSERTION)
-                if self.prune:
-                    record_ids = set(arena.prune_paired_ids(record_ids))
-                self._rec_table.replace(slot, record_ids)
-            return
+        arena = self._arena
+        slot = arena.intern_atom(fact)
         if self.mode == "paper":
-            support = self._supports.setdefault(fact, SetOfSetsSupport())
-            support.pos.add(frozenset())
-            support.neg.add(frozenset())
+            pos_ids = set(self._pos_table.get(slot) or ())
+            neg_ids = set(self._neg_table.get(slot) or ())
+            pos_ids.add(EMPTY_ELEMENT)
+            neg_ids.add(EMPTY_ELEMENT)
             if self.prune:
-                support.pos = prune_to_minimal(support.pos)
-                support.neg = prune_to_minimal(support.neg)
+                pos_ids = set(arena.prune_element_ids(pos_ids))
+                neg_ids = set(arena.prune_element_ids(neg_ids))
+            self._pos_table.replace(slot, pos_ids)
+            self._neg_table.replace(slot, neg_ids)
         else:
-            records = self._records.setdefault(fact, set())
-            records.add(PairedRecord.trivial())
+            record_ids = set(self._rec_table.get(slot) or ())
+            record_ids.add(ASSERTION)
             if self.prune:
-                self._prune_records(records)
+                record_ids = set(arena.prune_paired_ids(record_ids))
+            self._rec_table.replace(slot, record_ids)
 
     def support_of(self, fact: Atom) -> SetOfSetsSupport:
-        if not self.arena:
-            return self._supports[fact]
         arena = self._arena
         slot = arena.atom_id(fact)
         pos_ids = self._pos_table.get(slot) if slot is not None else None
@@ -350,8 +219,6 @@ class SetOfSetsEngine(MaintenanceEngine):
         )
 
     def records_of(self, fact: Atom) -> set[PairedRecord]:
-        if not self.arena:
-            return self._records[fact]
         slot = self._arena.atom_id(fact)
         record_ids = self._rec_table.get(slot) if slot is not None else None
         if record_ids is None:
@@ -360,92 +227,56 @@ class SetOfSetsEngine(MaintenanceEngine):
         return {decode(record) for record in record_ids}
 
     def support_entry_count(self) -> int:
-        if self.arena:
-            arena = self._arena
-            if self.mode == "paper":
-                members = arena.element_members
-                return sum(
-                    len(members[element]) + 1
-                    for table in (self._pos_table, self._neg_table)
-                    for elements in table.values()
-                    for element in elements
-                )
-            size = arena.paired_record_size
-            return sum(
-                size(record)
-                for records in self._rec_table.values()
-                for record in records
-            )
+        arena = self._arena
         if self.mode == "paper":
-            return sum(s.size() for s in self._supports.values())
+            members = arena.element_members
+            return sum(
+                len(members[element]) + 1
+                for table in (self._pos_table, self._neg_table)
+                for elements in table.values()
+                for element in elements
+            )
+        size = arena.paired_record_size
         return sum(
-            record.size()
-            for records in self._records.values()
+            size(record)
+            for records in self._rec_table.values()
             for record in records
         )
 
     def _support_state(self) -> dict:
-        if self.arena:
-            if self.mode == "paper":
-                return {
-                    "supports": ArenaSosSupports(
-                        self._arena,
-                        self._pos_table.copy(),
-                        self._neg_table.copy(),
-                    ),
-                    "records": {},
-                }
+        if self.mode == "paper":
             return {
-                "supports": {},
-                "records": ArenaPairedRecords(
-                    self._arena, self._rec_table.copy()
+                "supports": ArenaSosSupports(
+                    self._arena,
+                    self._pos_table.copy(),
+                    self._neg_table.copy(),
                 ),
+                "records": {},
             }
         return {
-            "supports": {
-                fact: SetOfSetsSupport(set(support.pos), set(support.neg))
-                for fact, support in self._supports.items()
-            },
-            "records": {
-                fact: set(records) for fact, records in self._records.items()
-            },
+            "supports": {},
+            "records": ArenaPairedRecords(self._arena, self._rec_table.copy()),
         }
 
     def _live_support_state(self) -> dict:
-        if self.arena:
-            # Uncopied live tables: preserve _owned for O(changed) diffs.
-            if self.mode == "paper":
-                return {
-                    "supports": ArenaSosSupports(
-                        self._arena, self._pos_table, self._neg_table
-                    ),
-                    "records": {},
-                }
+        # Uncopied live tables: preserve _owned for O(changed) diffs.
+        if self.mode == "paper":
             return {
-                "supports": {},
-                "records": ArenaPairedRecords(self._arena, self._rec_table),
+                "supports": ArenaSosSupports(
+                    self._arena, self._pos_table, self._neg_table
+                ),
+                "records": {},
             }
-        return self._support_state()
+        return {
+            "supports": {},
+            "records": ArenaPairedRecords(self._arena, self._rec_table),
+        }
 
     def _load_support_state(self, state: dict) -> None:
+        # v1 snapshots and legacy states carry the object-level mappings
+        # ({fact: SetOfSetsSupport} / {fact: {PairedRecord}}).
         supports = state["supports"]
         records = state["records"]
-        if not self.arena:
-            if isinstance(supports, ArenaSosSupports):
-                supports = supports.to_record_state()
-            if isinstance(records, ArenaPairedRecords):
-                records = records.to_record_state()
-            self._supports = {
-                fact: SetOfSetsSupport(set(support.pos), set(support.neg))
-                for fact, support in supports.items()
-            }
-            self._records = {
-                fact: set(record_set)
-                for fact, record_set in records.items()
-            }
-            return
-        self._supports = {}
-        self._records = {}
         self._base_cache.clear()
         if self.mode == "paper":
             sos = (
@@ -474,116 +305,61 @@ class SetOfSetsEngine(MaintenanceEngine):
 
     def _evict(self, fact: Atom) -> None:
         self.model.discard(fact)
-        if self.arena:
-            slot = self._arena.atom_id(fact)
-            if slot is not None:
-                self._pos_table.pop(slot)
-                self._neg_table.pop(slot)
-                self._rec_table.pop(slot)
-            return
-        self._supports.pop(fact, None)
-        self._records.pop(fact, None)
+        slot = self._arena.atom_id(fact)
+        if slot is not None:
+            self._pos_table.pop(slot)
+            self._neg_table.pop(slot)
+            self._rec_table.pop(slot)
 
     def _remove_failing(self, relation: str, side: str) -> set[Atom]:
         """Drop failing elements; evict facts whose *side* set empties.
 
         ``side="neg"`` is the insertion case (elements whose expanded form
         contains the increased relation fail), ``side="pos"`` the deletion
-        case.
+        case. The arena memoises each element's expansion per statics
+        table, so across the repeated passes of a batch each element is
+        expanded at most once.
         """
         statics = self.db.statics
+        arena = self._arena
+        expand = arena.expand_neg if side == "neg" else arena.expand_pos
         doomed: list[Atom] = []
         with OBS.span("phase:removal") as span:
-            self._remove_failing_into(relation, side, statics, doomed)
+            if self.mode == "paper":
+                table = self._neg_table if side == "neg" else self._pos_table
+                for slot, elements in list(table.items()):
+                    failing = {
+                        element
+                        for element in elements
+                        if relation in expand(element, statics)
+                    }
+                    if not failing:
+                        continue
+                    survivors = elements - failing
+                    if survivors:
+                        table.replace(slot, survivors)
+                    else:
+                        doomed.append(arena.atoms[slot])
+            else:
+                sides = arena.paired_neg if side == "neg" else arena.paired_pos
+                for slot, records in list(self._rec_table.items()):
+                    failing = {
+                        record
+                        for record in records
+                        if relation in expand(sides[record], statics)
+                    }
+                    if not failing:
+                        continue
+                    survivors = records - failing
+                    if survivors:
+                        self._rec_table.replace(slot, survivors)
+                    else:
+                        doomed.append(arena.atoms[slot])
+            for fact in doomed:
+                self._evict(fact)
             if span:
                 span.set("evicted", len(doomed))
         return set(doomed)
-
-    def _remove_failing_into(
-        self, relation: str, side: str, statics, doomed: list[Atom]
-    ) -> None:
-        if self.arena:
-            self._remove_failing_arena(relation, side, statics, doomed)
-            for fact in doomed:
-                self._evict(fact)
-            return
-        if self.mode == "paper":
-            for fact, support in self._supports.items():
-                elements = support.neg if side == "neg" else support.pos
-                expand = (
-                    expand_neg_element if side == "neg" else expand_pos_element
-                )
-                failing = {
-                    element
-                    for element in elements
-                    if relation in expand(element, statics)
-                }
-                if not failing:
-                    continue
-                elements -= failing
-                if not elements:
-                    doomed.append(fact)
-        else:
-            for fact, records in self._records.items():
-                failing = {
-                    record
-                    for record in records
-                    if relation
-                    in (
-                        expand_neg_element(record.neg, statics)
-                        if side == "neg"
-                        else expand_pos_element(record.pos, statics)
-                    )
-                }
-                if not failing:
-                    continue
-                records -= failing
-                if not records:
-                    doomed.append(fact)
-        for fact in doomed:
-            self._evict(fact)
-
-    def _remove_failing_arena(
-        self, relation: str, side: str, statics, doomed: list[Atom]
-    ) -> None:
-        """Id-space removal pass.
-
-        The arena memoises each element's expansion per statics table, so
-        across the repeated passes of a batch each element is expanded at
-        most once — the record path recomputes the closure every pass.
-        """
-        arena = self._arena
-        expand = arena.expand_neg if side == "neg" else arena.expand_pos
-        if self.mode == "paper":
-            table = self._neg_table if side == "neg" else self._pos_table
-            for slot, elements in list(table.items()):
-                failing = {
-                    element
-                    for element in elements
-                    if relation in expand(element, statics)
-                }
-                if not failing:
-                    continue
-                survivors = elements - failing
-                if survivors:
-                    table.replace(slot, survivors)
-                else:
-                    doomed.append(arena.atoms[slot])
-        else:
-            sides = arena.paired_neg if side == "neg" else arena.paired_pos
-            for slot, records in list(self._rec_table.items()):
-                failing = {
-                    record
-                    for record in records
-                    if relation in expand(sides[record], statics)
-                }
-                if not failing:
-                    continue
-                survivors = records - failing
-                if survivors:
-                    self._rec_table.replace(slot, survivors)
-                else:
-                    doomed.append(arena.atoms[slot])
 
     # ------------------------------------------------------------------
     # Update procedures

@@ -115,7 +115,7 @@ def support_leaves(state: dict) -> Dict[LeafPath, object]:
     """Flatten a support state into ``{path: leaf}``.
 
     A leaf is either a :class:`SupportTable` (arena engines) or a plain
-    ``{fact: value}`` dict (record-mode and pair-support engines). The
+    ``{fact: value}`` dict (the dynamic engine's pair supports). The
     paths are stable across `_support_state()` calls of one engine, so a
     delta computed against a checkpoint's leaves applies to a later
     state's leaves by path.

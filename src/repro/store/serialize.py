@@ -160,13 +160,13 @@ _INTERNABLE = (
 )
 
 
-def _collect(obj: Any, counts: dict, expand_arena: bool = True) -> None:
+def _collect(obj: Any, counts: dict, expand_supports: bool = True) -> None:
     """Count occurrences of internable objects reachable from *obj*.
 
-    *expand_arena* decides what an arena-backed support state contributes:
+    *expand_supports* decides what an arena-backed support state contributes:
     the v1/object codec expands it to the classic record mapping (so its
-    atoms and records intern alongside everything else and the bytes match
-    a record-mode engine's), while the compact codec writes a
+    atoms and records intern alongside everything else and the bytes are
+    the ones v1 stores already hold), while the compact codec writes a
     self-contained canonical payload and skips it here.
     """
     if isinstance(obj, _INTERNABLE):
@@ -178,36 +178,36 @@ def _collect(obj: Any, counts: dict, expand_arena: bool = True) -> None:
         return
     if isinstance(obj, Atom):
         for term in obj.args:
-            _collect(term, counts, expand_arena)
+            _collect(term, counts, expand_supports)
     elif isinstance(obj, Literal):
-        _collect(obj.atom, counts, expand_arena)
+        _collect(obj.atom, counts, expand_supports)
     elif isinstance(obj, Clause):
-        _collect(obj.head, counts, expand_arena)
+        _collect(obj.head, counts, expand_supports)
         for lit in obj.body:
-            _collect(lit, counts, expand_arena)
+            _collect(lit, counts, expand_supports)
     elif isinstance(obj, Signed):
         pass
     elif isinstance(obj, (PairSupport, PairedRecord)):
-        _collect(obj[0], counts, expand_arena)
-        _collect(obj[1], counts, expand_arena)
+        _collect(obj[0], counts, expand_supports)
+        _collect(obj[1], counts, expand_supports)
     elif isinstance(obj, SetOfSetsSupport):
-        _collect(obj.pos, counts, expand_arena)
-        _collect(obj.neg, counts, expand_arena)
+        _collect(obj.pos, counts, expand_supports)
+        _collect(obj.neg, counts, expand_supports)
     elif isinstance(obj, (RuleRecord, FactRecord)):
         if obj.rule is not None:
-            _collect(obj.rule, counts, expand_arena)
-        _collect(obj[1], counts, expand_arena)
-        _collect(obj[2], counts, expand_arena)
+            _collect(obj.rule, counts, expand_supports)
+        _collect(obj[1], counts, expand_supports)
+        _collect(obj[2], counts, expand_supports)
     elif isinstance(obj, ArenaSupportState):
-        if expand_arena:
-            _collect(obj.to_record_state(), counts, expand_arena)
+        if expand_supports:
+            _collect(obj.to_record_state(), counts, expand_supports)
     elif isinstance(obj, (tuple, list, set, frozenset)):
         for item in obj:
-            _collect(item, counts, expand_arena)
+            _collect(item, counts, expand_supports)
     elif isinstance(obj, dict):
         for key, value in obj.items():
-            _collect(key, counts, expand_arena)
-            _collect(value, counts, expand_arena)
+            _collect(key, counts, expand_supports)
+            _collect(value, counts, expand_supports)
     else:
         raise SerializationError(
             f"cannot encode {type(obj).__name__}: {obj!r}"
@@ -280,7 +280,7 @@ def _encode_with_refs(obj: Any, index: dict) -> Any:
         }
     if isinstance(obj, ArenaSupportState):
         # The v1/object codec has no arena notion: expand to the classic
-        # record mapping so the bytes equal a record-mode engine's.
+        # record mapping, the form v1 stores already hold.
         return _encode_with_refs(obj.to_record_state(), index)
     if isinstance(obj, tuple):
         return {
@@ -512,7 +512,7 @@ def encode_compact_tabled(obj: Any) -> list:
     payload carries its own object tables, so they stay out of the shared
     intern table)."""
     counts: dict = {}
-    _collect(obj, counts, expand_arena=False)
+    _collect(obj, counts, expand_supports=False)
     repeated = [value for value, count in counts.items() if count > 1]
     expanded = sorted(
         ((_encode_compact(value, _NO_INTERNING), value) for value in repeated),

@@ -135,13 +135,18 @@ class Store:
             raise StoreError(
                 f"{path}: unsupported store format {meta.get('format')!r}"
             )
+        engine_kwargs = dict(meta.get("engine_kwargs") or {})
+        # Stores written while engines still took an ``arena`` option
+        # persisted it; there is one representation now, and a snapshot
+        # holding record objects loads through ArenaXxx.from_records.
+        engine_kwargs.pop("arena", None)
         journal = Journal(path / JOURNAL_NAME)
         engine, failed_seq = materialize(
             path,
             meta["engine"],
             journal,
             len(journal),
-            engine_kwargs=meta.get("engine_kwargs") or {},
+            engine_kwargs=engine_kwargs,
             tolerate_tail=True,
         )
         if failed_seq is not None:
@@ -149,7 +154,7 @@ class Store:
         return cls(
             path,
             meta["engine"],
-            meta.get("engine_kwargs") or {},
+            engine_kwargs,
             engine,
             journal,
             len(journal),

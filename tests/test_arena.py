@@ -8,6 +8,8 @@ of the test suite pins down.
 
 import json
 
+import pytest
+
 from repro.core import create_engine
 from repro.core.arena import (
     ASSERTION,
@@ -300,7 +302,9 @@ class TestEngineIntegration:
         """
     )
 
-    def test_cross_mode_state_load(self):
+    def test_record_object_state_loads(self):
+        # v1 snapshots and legacy states carry the object-level mappings;
+        # load_state interns them into a fresh arena.
         for name in (
             "factlevel",
             "cascade",
@@ -311,20 +315,22 @@ class TestEngineIntegration:
             source = create_engine(name, self.PROGRAM)
             source.apply("insert_fact", fact("r", 1))
             state = source.state_dict()
-            target = create_engine(name, self.PROGRAM, arena=False)
+            state["supports"] = {
+                key: value.to_record_state() if value else value
+                for key, value in state["supports"].items()
+            }
+            target = create_engine(name, self.PROGRAM, build=False)
             target.load_state(state)
             assert target.model == source.model
+            assert target.state_dict()["supports"] == source.state_dict()[
+                "supports"
+            ]
             assert (
                 target.support_entry_count()
                 == source.support_entry_count()
             )
-            # and back: a record-mode state loads into an arena engine
-            back = create_engine(name, self.PROGRAM)
-            back.load_state(target.state_dict())
-            assert back.model == source.model
-            assert (
-                back.support_entry_count() == source.support_entry_count()
-            )
+            target.apply("delete_fact", fact("r", 1))
+            assert target.is_consistent()
 
     def test_checkpoint_restore_is_reusable(self):
         for name in ("factlevel", "cascade", "setofsets-paired"):
@@ -340,12 +346,9 @@ class TestEngineIntegration:
                 assert engine.support_entry_count() == count_before
             # the restored engine keeps revising correctly
             engine.apply("insert_fact", fact("r", 1))
-            record = create_engine(name, self.PROGRAM, arena=False)
-            record.apply("insert_fact", fact("r", 1))
-            assert engine.model == record.model
+            assert engine.is_consistent()
 
-    def test_record_mode_flag_disables_arena(self):
-        engine = create_engine("factlevel", self.PROGRAM, arena=False)
-        assert engine.arena is False
-        assert len(engine._table) == 0  # record dicts hold the state
-        assert engine.records_of(fact("p", 3))
+    def test_arena_is_not_an_option(self):
+        for name in ("factlevel", "recompute"):
+            with pytest.raises(TypeError):
+                create_engine(name, self.PROGRAM, arena=False)

@@ -14,33 +14,11 @@ from repro.workloads.updates import asserted_facts, flip_sequence
 
 
 def assert_all_consistent(program, updates):
-    """Every sound engine tracks the oracle — on both runtime
-    representations (the columnar arena and the record-object baseline),
-    which must also agree with each other on final support totals."""
-    by_axis = {}
-    for arena in (True, False):
-        runs = compare_engines(
-            program,
-            updates,
-            SOUND_ENGINE_NAMES,
-            verify=True,
-            engine_kwargs={"arena": arena},
-        )
-        for run in runs:
-            axis = "arena" if arena else "record"
-            assert run.consistent, (
-                f"{run.engine} ({axis}) diverged {run.divergences}x"
-            )
-        by_axis[arena] = runs
-    for arena_run, record_run in zip(by_axis[True], by_axis[False]):
-        assert (
-            arena_run.support_entries_end == record_run.support_entries_end
-        ), (
-            f"{arena_run.engine}: arena kept "
-            f"{arena_run.support_entries_end} support entries, records "
-            f"kept {record_run.support_entries_end}"
-        )
-    return by_axis[True]
+    """Every sound engine tracks the oracle after every update."""
+    runs = compare_engines(program, updates, SOUND_ENGINE_NAMES, verify=True)
+    for run in runs:
+        assert run.consistent, f"{run.engine} diverged {run.divergences}x"
+    return runs
 
 
 class TestFamilies:

@@ -10,13 +10,18 @@ The properties mirror the paper's theorems:
   arbitrary update sequences;
 * the paper-mode sets-of-sets engine is exact for a *single* update on a
   freshly built model (the actual scope of Lemma 2);
-* the fact-level engine never migrates anything (section 5.2's claim).
+* the fact-level engine never migrates anything (section 5.2's claim);
+* each support-carrying engine's table is what the paper says it records:
+  all firing ground instances (fact-level), a valid rule-pointer cover
+  (cascade), ⊆-minimal non-empty covers (sets of sets).
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.fuzz import _validate_rule_records
 from repro.core.registry import SOUND_ENGINE_NAMES, create_engine
+from repro.core.supports import FactRecord, prune_to_minimal
 from repro.datalog.evaluation import compute_model, iter_derivations
 from repro.datalog.plan import Planner
 from repro.tms.bridge import standard_model_via_jtms
@@ -313,7 +318,7 @@ class TestEngineEquivalence:
             "insert_fact": "delete_fact",
             "delete_fact": "insert_fact",
         }[operation]
-        for name in ("cascade", "dynamic"):
+        for name in ("cascade", "dynamic", "setofsets", "setofsets-paired"):
             engine = create_engine(name, syn.program)
             before = engine.model.as_set()
             engine.apply(operation, subject)
@@ -321,58 +326,123 @@ class TestEngineEquivalence:
             assert engine.model.as_set() == before
 
 
-class TestArenaEquivalence:
-    """The columnar arena is a pure representation change: on every
-    observable surface — model trajectory, update deltas, support totals,
-    decoded records, proof trees — an arena-backed engine is
-    indistinguishable from the record-object baseline."""
-
-    @given(seed=seeds, n_updates=st.integers(min_value=1, max_value=6))
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_arena_indistinguishable_from_records(self, seed, n_updates):
-        from repro.core.explain import explain
-
-        syn = generate(seed, SMALL)
-        updates = random_updates(
-            syn.program, syn.edb_relations, syn.arities, syn.domain,
-            count=n_updates, seed=seed,
-        )
-        for name in (
-            "factlevel", "cascade", "setofsets", "setofsets-paired"
-        ):
-            arena_engine = create_engine(name, syn.program)
-            record_engine = create_engine(name, syn.program, arena=False)
-            assert arena_engine.model == record_engine.model
-            for operation, subject in updates:
-                arena_result = arena_engine.apply(operation, subject)
-                record_result = record_engine.apply(operation, subject)
-                assert arena_engine.model == record_engine.model, (
-                    f"{name} arena diverged after {operation} {subject}"
+def firing_instances(engine):
+    """Test-only reference for section 5.2's "keeping all possible original
+    deductions": one FactRecord per ground instance of a program clause
+    that fires against the engine's current model."""
+    expected = {}
+    for clause in engine.db.program.clauses:
+        for derivation in iter_derivations(clause, engine.model):
+            record = (
+                FactRecord(
+                    clause,
+                    frozenset(derivation.positive_facts),
+                    frozenset(derivation.negative_atoms),
                 )
-                assert set(arena_result.added) == set(record_result.added)
-                assert set(arena_result.removed) == set(
-                    record_result.removed
-                )
-            assert (
-                arena_engine.support_entry_count()
-                == record_engine.support_entry_count()
+                if clause.body
+                else FactRecord.assertion()
             )
-            for fact_ in record_engine.model.facts():
-                if name == "setofsets":
-                    assert arena_engine.support_of(
-                        fact_
-                    ) == record_engine.support_of(fact_)
-                else:
-                    assert arena_engine.records_of(
-                        fact_
-                    ) == record_engine.records_of(fact_)
-                assert str(explain(arena_engine, fact_)) == str(
-                    explain(record_engine, fact_)
+            expected.setdefault(derivation.head, set()).add(record)
+    return expected
+
+
+def revisions(name, seed, n_updates):
+    """Drive engine *name* through a random update sequence, yielding it
+    after every update — once the update's delta was checked against the
+    model diff and (for the sound engines) the model against the oracle."""
+    syn = generate(seed, SMALL)
+    updates = random_updates(
+        syn.program, syn.edb_relations, syn.arities, syn.domain,
+        count=n_updates, seed=seed,
+    )
+    engine = create_engine(name, syn.program)
+    for operation, subject in updates:
+        before = engine.model.as_set()
+        result = engine.apply(operation, subject)
+        after = engine.model.as_set()
+        assert result.added - result.removed == after - before
+        assert result.removed - result.added == before - after
+        if name in SOUND_ENGINE_NAMES:
+            assert engine.is_consistent(), (
+                f"{name} diverged after {operation} {subject}"
+            )
+        yield engine
+
+
+def decoded_supports(engine, key="records"):
+    """The engine's whole support table, decoded to supports.py objects."""
+    return engine.state_dict()["supports"][key].to_record_state()
+
+
+sequence_lengths = st.integers(min_value=1, max_value=6)
+
+
+class TestSupportSpecs:
+    """What each support-carrying engine's bookkeeping must *be* after
+    every update, stated on the decoded ``repro.core.supports`` objects
+    the paper defines — not relative to a second implementation."""
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_factlevel_keeps_all_firing_instances(self, seed, n_updates):
+        for engine in revisions("factlevel", seed, n_updates):
+            expected = firing_instances(engine)
+            assert decoded_supports(engine) == expected
+            for fact_, records in expected.items():
+                assert engine.records_of(fact_) == records
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_cascade_table_is_a_valid_support_cover(self, seed, n_updates):
+        for name in ("cascade", "cascade-paper"):
+            for engine in revisions(name, seed, n_updates):
+                table = decoded_supports(engine)
+                assert _validate_rule_records(
+                    engine, {"records": table}, set(engine.db.program.facts)
+                ) is None
+                assert engine.support_entry_count() == sum(
+                    len(records) for records in table.values()
                 )
+                for fact_, records in table.items():
+                    assert engine.records_of(fact_) == records
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_setofsets_supports_stay_minimal_covers(self, seed, n_updates):
+        # Exactly the model facts carry supports, no side is empty, each
+        # side is a ⊆-antichain (supports.prune_to_minimal is the paper's
+        # object-level definition), and the entry count is the decoded
+        # supports' size.
+        for engine in revisions("setofsets", seed, n_updates):
+            table = decoded_supports(engine, "supports")
+            assert set(table) == engine.model.as_set()
+            for fact_, support in table.items():
+                assert engine.support_of(fact_) == support
+                assert support.pos and support.neg
+                assert prune_to_minimal(set(support.pos)) == support.pos
+                assert prune_to_minimal(set(support.neg)) == support.neg
+            assert engine.support_entry_count() == sum(
+                support.size() for support in table.values()
+            )
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_paired_records_stay_minimal_covers(self, seed, n_updates):
+        for engine in revisions("setofsets-paired", seed, n_updates):
+            table = decoded_supports(engine)
+            assert set(table) == engine.model.as_set()
+            for fact_, records in table.items():
+                assert records and engine.records_of(fact_) == records
+                assert not any(
+                    a != b and a.pos <= b.pos and a.neg <= b.neg
+                    for a in records
+                    for b in records
+                ), f"{fact_} keeps a dominated record"
+            assert engine.support_entry_count() == sum(
+                record.size()
+                for records in table.values()
+                for record in records
+            )
 
 
 class TestSupportInvariants:

@@ -23,6 +23,7 @@ from repro.store import (
 )
 from repro.store.history import replay
 from repro.store.journal import commit_record, update_record, updates_of
+from repro.store.snapshot import write_snapshot
 from repro.workloads.synthetic import SyntheticSpec, generate
 from repro.workloads.updates import random_updates
 
@@ -317,6 +318,60 @@ class TestStore:
         reopened = Store.open(tmp_path / "db")
         assert reopened.head == 1
         assert reopened.model.contains("submitted", (4,))
+
+    @pytest.mark.parametrize(
+        "engine",
+        ["factlevel", "cascade", "cascade-paper", "setofsets",
+         "setofsets-paired"],
+    )
+    def test_store_created_with_arena_false_still_opens(
+        self, engine, tmp_path
+    ):
+        # Engines once took arena=False and Store.create persisted it: the
+        # directory holds the key in meta.json and a snapshot whose supports
+        # are the record-object mappings. Built by hand, as that code did.
+        path = tmp_path / "db"
+        path.mkdir()
+        state = create_engine(engine, PODS).state_dict()
+        state["supports"] = {
+            key: value.to_record_state() if value else value
+            for key, value in state["supports"].items()
+        }
+        write_snapshot(path, 0, state)
+        (path / "journal.jsonl").touch()
+        meta = {
+            "format": 1, "engine": engine, "engine_kwargs": {"arena": False},
+        }
+        (path / "meta.json").write_text(json.dumps(meta))
+
+        reopened = Store.open(path)
+        assert reopened.engine_kwargs == {}
+        fresh = create_engine(engine, PODS)
+        assert reopened.model == fresh.model
+        assert (
+            reopened.engine.support_entry_count()
+            == fresh.support_entry_count()
+        )
+        with reopened.transaction():
+            reopened.insert_fact("accepted(1)")
+            reopened.insert_fact("submitted(4)")
+        reopened.snapshot()
+        reopened.delete_fact("accepted(2)")
+        expected = (
+            reopened.model.as_set(), reopened.engine.support_entry_count()
+        )
+        reopened.close()
+        assert json.loads((path / "meta.json").read_text()) == meta
+
+        again = Store.open(path)
+        assert (
+            again.model.as_set(), again.engine.support_entry_count()
+        ) == expected
+        assert again.model == compute_model(again.engine.db.program)
+
+    def test_create_rejects_the_arena_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            Store.create(tmp_path / "db", PODS, engine="factlevel", arena=False)
 
 
 # ----------------------------------------------------------------------
