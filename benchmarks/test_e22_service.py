@@ -1,56 +1,48 @@
-"""E22 — the concurrent revision service: scheduled-parallel admission.
+"""E22 — the revision service: what batch admission buys, as counts.
 
-PR 10 adds the revision service: a transaction batch goes through the
-argument-level commutation scheduler, the commuting groups execute in
-worker threads against copy-on-write checkpoints and merge by state
-delta, and the accepted transactions become durable with **one** journal
-group commit (one fsync, one redo-tail check) instead of one fsync per
-transaction. Two claims, both guarded:
+A transaction batch goes through the argument-level commutation
+scheduler, every transaction is applied on the store's one engine, and
+the accepted transactions become durable with **one** journal group
+commit (one fsync, one redo-tail check) instead of one fsync per
+transaction. Both guards count events; wall-clock times are printed for
+the record and never asserted (the last measured ratios, and the
+pool-vs-serial numbers that retired the worker pool, are in the README's
+service section).
 
-* **E22a (scheduled-parallel beats serial admission — CI guard)** — on
-  disjoint-key ledger traffic, batch admission through
-  :class:`~repro.service.RevisionService` must sustain strictly more
-  committed transactions per second than per-transaction serial
-  admission against the same durable store, **and** the final store must
-  be byte-identical: the canonical v2 snapshot written after the
-  parallel run must equal the serial store's snapshot byte for byte.
-  The throughput floor is deliberately modest (the engines are
-  GIL-bound; the honest win is fsync amortization + one scheduling pass
-  + one redo-tail check per batch) but it must be a *win*.
+* **E22a (one durable write per batch — CI guard)** — on disjoint-key
+  ledger traffic, admitting a 16-transaction batch through
+  :class:`~repro.service.RevisionService` costs exactly one
+  ``Journal.append_many`` call and one journal ``os.fsync``, against 16
+  ``Journal.append`` calls and 16 fsyncs for per-transaction
+  ``Store.transaction`` admission; every transaction commits, every
+  round is scheduled into at least one commuting group, **and** the
+  final store is byte-identical: the canonical v2 snapshot written after
+  the batched run equals the serial store's snapshot byte for byte.
 
-* **E22b (throughput rises with session count — CI guard)** — driving
-  the ``asyncio`` front-end over real sockets, N concurrent sessions
-  each submitting disjoint-key transactions must commit more
-  transactions per second in aggregate than one session alone: the
-  micro-batching writer turns concurrency into larger commuting groups
-  and fewer fsyncs. The guard compares the best multi-session rate
-  against the single-session rate.
+* **E22b (concurrent sessions really share commits — CI guard)** —
+  driving the ``asyncio`` front-end over real sockets, with two or more
+  sessions the micro-batching writer must put several transactions under
+  one group commit (``repro_txn_group_commits_total`` below the commit
+  count, mean ``repro_service_batch_size`` above 1); one closed-loop
+  session alone never can (mean batch size 1).
 """
 
 import asyncio
+import os
 import time
 
 from repro.bench.reporting import print_table
 from repro.datalog.atoms import Atom
+from repro.obs import telemetry
 from repro.service import RevisionService
 from repro.service.server import RevisionServer, ServiceClient
-from repro.store import open_store
+from repro.store import journal, open_store
 from repro.workloads import sharded_by_key
 
 ACCOUNTS = 16
 ROUNDS = 14
 UPDATES_PER_TXN = 2
-WORKERS = 4
 
-#: E22a acceptance bar: committed-txn/sec of batch admission over
-#: per-transaction serial admission. The compute is GIL-bound either
-#: way; the scheduled path must still convert group commit + one
-#: scheduling pass per batch into a real win, with margin for CI noise.
-PARALLEL_OVER_SERIAL_FLOOR = 1.10
-
-#: E22b acceptance bar: aggregate committed-txn/sec of the best
-#: multi-session run over the single-session run through the server.
-SESSIONS_SCALING_FLOOR = 1.25
 SESSION_COUNTS = (1, 2, 4, 8, 16)
 COMMITS_PER_SESSION = 30
 
@@ -73,72 +65,110 @@ def _traffic(tag: int):
     return batch
 
 
-def test_e22a_parallel_admission_beats_serial(tmp_path):
+class _JournalSpy:
+    """Counts the journal's appends and the fsyncs *it* issues.
+
+    Stands in for ``repro.store.journal.os`` so snapshot and metadata
+    fsyncs (other modules, other ``os`` bindings) are not counted.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.fsyncs = self.appends = self.batch_appends = 0
+        monkeypatch.setattr(journal, "os", self)
+        for counter, name in (
+            ("appends", "append"), ("batch_appends", "append_many")
+        ):
+            monkeypatch.setattr(
+                journal.Journal, name,
+                self._counting(counter, getattr(journal.Journal, name)),
+            )
+
+    def _counting(self, counter, function):
+        def counted(*args, **kwargs):
+            setattr(self, counter, getattr(self, counter) + 1)
+            return function(*args, **kwargs)
+
+        return counted
+
+    def fsync(self, fd):
+        self.fsyncs += 1
+        return os.fsync(fd)
+
+    def __getattr__(self, name):
+        return getattr(os, name)  # whatever else the journal uses of os
+
+    def counts(self):
+        return (self.fsyncs, self.appends, self.batch_appends)
+
+
+def test_e22a_one_group_commit_per_batch(tmp_path, monkeypatch):
     program = str(sharded_by_key(accounts=ACCOUNTS))
     rounds = [_traffic(tag) for tag in range(ROUNDS)]
     total = sum(len(batch) for batch in rounds)
+    spy = _JournalSpy(monkeypatch)
+
+    def spent(before):
+        return tuple(now - then for now, then in zip(spy.counts(), before))
 
     serial = open_store(
         tmp_path / "serial", program=program, engine="factlevel"
     )
     started = time.perf_counter()
     for batch in rounds:
+        before = spy.counts()
         for _, updates in batch:
             with serial.transaction():
                 for operation, fact in updates:
                     serial.apply(operation, fact)
+        # (fsyncs, Journal.append, Journal.append_many)
+        assert spent(before) == (len(batch), len(batch), 0)
     serial_seconds = time.perf_counter() - started
     assert serial.revision == total
 
     store = open_store(
-        tmp_path / "parallel", program=program, engine="factlevel"
+        tmp_path / "batched", program=program, engine="factlevel"
     )
     committed = 0
-    parallel_groups = 0
-    with RevisionService(store, max_workers=WORKERS) as service:
+    commuting_groups = 0
+    with RevisionService(store) as service:
         started = time.perf_counter()
         for batch in rounds:
+            before = spy.counts()
             result = service.submit_batch(batch)
+            assert spent(before) == (1, 0, 1)
             committed += result.committed
-            parallel_groups += result.report.parallel_groups
-        parallel_seconds = time.perf_counter() - started
+            commuting_groups += result.report.parallel_groups
+        batched_seconds = time.perf_counter() - started
         assert committed == total
         assert service.revision == total
-        # The disjoint-key rounds must actually take the parallel path.
-        assert parallel_groups >= ROUNDS
+        # The disjoint-key rounds must actually be certified commuting.
+        assert commuting_groups >= ROUNDS
 
         # Byte-identical durability: the canonical v2 snapshots of the
         # two stores must match exactly.
-        parallel_snapshot = store.snapshot().read_bytes()
+        batched_snapshot = store.snapshot().read_bytes()
     serial_snapshot = serial.snapshot().read_bytes()
     serial.close()
-    assert parallel_snapshot == serial_snapshot
+    assert batched_snapshot == serial_snapshot
 
-    serial_tps = total / serial_seconds
-    parallel_tps = total / parallel_seconds
-    speedup = parallel_tps / serial_tps
     print_table(
-        ["admission", "txns", "seconds", "txn_per_sec", "speedup"],
+        ["admission", "txns", "journal_fsyncs", "seconds", "txn_per_sec"],
         [
-            ["serial (per-txn fsync)", total, serial_seconds, serial_tps, 1.0],
-            ["scheduled-parallel", total, parallel_seconds, parallel_tps,
-             speedup],
+            ["Store.transaction (per txn)", total, total, serial_seconds,
+             total / serial_seconds],
+            ["submit_batch (group commit)", total, ROUNDS, batched_seconds,
+             total / batched_seconds],
         ],
-        "E22a: batch admission vs per-transaction serial admission "
-        f"({ACCOUNTS} disjoint keys, {WORKERS} workers)",
-    )
-    assert speedup >= PARALLEL_OVER_SERIAL_FLOOR, (
-        f"scheduled-parallel admission managed only {speedup:.2f}x over "
-        f"serial (floor {PARALLEL_OVER_SERIAL_FLOOR}x)"
+        "E22a: batch admission vs per-transaction admission "
+        f"({ACCOUNTS} disjoint keys; times printed, not asserted)",
     )
 
 
-def test_e22b_throughput_rises_with_sessions(tmp_path):
+def test_e22b_sessions_share_group_commits(tmp_path):
     program = str(sharded_by_key(accounts=max(SESSION_COUNTS)))
     store = open_store(tmp_path / "store", program=program, engine="factlevel")
-    service = RevisionService(store, max_workers=WORKERS)
+    service = RevisionService(store)
     rows = []
-    rates = {}
 
     async def run_sessions(count: int, tag: int) -> float:
         server = RevisionServer(service, batch_window=0.001)
@@ -163,24 +193,40 @@ def test_e22b_throughput_rises_with_sessions(tmp_path):
         finally:
             await server.stop()
 
+    def reading(metrics: dict, name: str) -> dict:
+        (series,) = metrics[name]
+        return series
+
     with service:
         for tag, count in enumerate(SESSION_COUNTS):
-            seconds = asyncio.run(run_sessions(count, tag))
+            with telemetry() as obs:
+                seconds = asyncio.run(run_sessions(count, tag))
+                metrics = obs.metrics_dict()
             txns = count * COMMITS_PER_SESSION
-            rates[count] = txns / seconds
-            rows.append([count, txns, seconds, rates[count]])
+            commits = reading(metrics, "repro_txn_commits_total")["value"]
+            group_commits = reading(
+                metrics, "repro_txn_group_commits_total"
+            )["value"]
+            sizes = reading(metrics, "repro_service_batch_size")
+            mean_batch = sizes["sum"] / sizes["count"]
+            rows.append(
+                [count, txns, group_commits, mean_batch, seconds,
+                 txns / seconds]
+            )
+            assert commits == txns
+            if count == 1:
+                # A closed-loop session has one commit in flight at a time.
+                assert group_commits == commits and mean_batch <= 1
+            else:
+                assert group_commits < commits
+                assert mean_batch > 1
         expected = sum(SESSION_COUNTS) * COMMITS_PER_SESSION
         assert service.revision == expected
 
     print_table(
-        ["sessions", "txns", "seconds", "txn_per_sec"],
+        ["sessions", "txns", "group_commits", "mean_batch", "seconds",
+         "txn_per_sec"],
         rows,
-        "E22b: aggregate committed-transactions/sec vs session count "
-        "(asyncio front-end, micro-batching writer)",
-    )
-    best = max(rates[count] for count in SESSION_COUNTS if count > 1)
-    scaling = best / rates[1]
-    assert scaling >= SESSIONS_SCALING_FLOOR, (
-        f"multi-session throughput only {scaling:.2f}x the single "
-        f"session (floor {SESSIONS_SCALING_FLOOR}x)"
+        "E22b: group commits and batch size vs session count (asyncio "
+        "front-end, micro-batching writer; times printed, not asserted)",
     )

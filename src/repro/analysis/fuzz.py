@@ -113,8 +113,8 @@ class FuzzReport:
         self.certified_pattern_only = 0
         self.replays = 0
         self.record_validations = 0
-        self.parallel_batches = 0
-        self.parallel_groups = 0
+        self.service_batches = 0
+        self.commuting_groups = 0
         self.violations: list[FuzzViolation] = []
 
     @property
@@ -135,11 +135,10 @@ class FuzzReport:
             f"{self.record_validations} record validation(s), "
             f"{len(self.violations)} violation(s)"
         ]
-        if self.parallel_batches:
+        if self.service_batches:
             lines.append(
-                f"threaded: {self.parallel_batches} batch(es) executed "
-                f"in parallel, {self.parallel_groups} commuting group(s) "
-                "merged"
+                f"service: {self.service_batches} batch(es) executed, "
+                f"{self.commuting_groups} commuting group(s) scheduled"
             )
         lines.extend(v.render() for v in self.violations)
         return "\n".join(lines)
@@ -456,7 +455,7 @@ def _program_suite(
     return suite
 
 
-def fuzz_parallel_service(
+def fuzz_service_batches(
     seeds: Sequence[int] = range(2),
     *,
     transactions: int = 8,
@@ -464,21 +463,24 @@ def fuzz_parallel_service(
     engine_names: Sequence[str] = ENGINE_NAMES,
     include_sharded: bool = True,
     rng_seed: int = 0,
-    max_workers: int = 4,
 ) -> FuzzReport:
-    """Threaded mode: scheduled-parallel batches vs submission-order serial.
+    """Service mode: scheduled batches vs submission-order serial replay.
 
     For each program a transaction batch is drawn from the update pool
     and pushed through the revision service's
-    :class:`~repro.service.executor.ParallelExecutor` — commuting groups
-    execute in real worker threads against checkpoint snapshots and merge
-    by state delta. The resulting model and canonical supports must equal
-    a fresh engine's submission-order serial replay; rule-record tables
-    (history-dependent by design, see the module docstring) are instead
-    validated as a support cover of the final state.
+    :class:`~repro.service.executor.BatchExecutor` — scheduled into
+    commuting groups, every transaction applied on one engine under its
+    own checkpoint. One *inadmissible* transaction (the delete of a fact
+    nothing ever asserted) sits mid-batch so the per-transaction rollback
+    runs on every engine: it must be the only rejection. The resulting
+    model and canonical supports must equal a fresh engine's
+    submission-order serial replay of the accepted transactions;
+    rule-record tables (history-dependent by design, see the module
+    docstring) are instead validated as a support cover of the final
+    state.
     """
     # Lazy import: repro.service imports this package's scheduler.
-    from ..service.executor import ParallelExecutor
+    from ..service.executor import BatchExecutor
 
     rng = random.Random(rng_seed)
     report = FuzzReport()
@@ -487,54 +489,49 @@ def fuzz_parallel_service(
     ):
         pool = _update_pool(
             program, edb, arities, domain, rng,
-            transactions * per_transaction,
+            transactions * per_transaction + 1,
         )
-        if len(pool) < 2 * per_transaction:
+        # A pool insertion targets a row that is neither asserted nor the
+        # subject of any other entry: turned into a deletion, it is
+        # inadmissible wherever it lands in the batch.
+        fresh = [update for update in pool if update[0] == "insert_fact"]
+        if len(pool) < 2 * per_transaction + 1 or not fresh:
             continue
+        pool.remove(fresh[-1])
+        inadmissible = ("txn_bad", [("delete_fact", fresh[-1][1])])
         report.programs += 1
-        batch = [
-            (
-                f"txn{i}",
-                pool[i * per_transaction : (i + 1) * per_transaction],
-            )
-            for i in range((len(pool) + per_transaction - 1) // per_transaction)
+        accepted = [
+            (f"txn{i}", pool[start : start + per_transaction])
+            for i, start in enumerate(range(0, len(pool), per_transaction))
         ]
-        batch = [(name, updates) for name, updates in batch if updates]
+        batch = list(accepted)
+        batch.insert(len(batch) // 2, inadmissible)
+        all_updates = [u for _, updates in accepted for u in updates]
         asserted = {clause.head for clause in program if not clause.body}
-        for _, updates in batch:
-            for operation, fact in updates:
-                if operation == "insert_fact":
-                    asserted.add(fact)
-                else:
-                    asserted.discard(fact)
-        all_updates = [u for _, updates in batch for u in updates]
+        for operation, fact in all_updates:
+            if operation == "insert_fact":
+                asserted.add(fact)
+            else:
+                asserted.discard(fact)
         for name in engine_names:
             serial = create_engine(name, program)
             for operation, fact in all_updates:
                 serial.apply(operation, fact)
             expected = _signature(serial)
             engine = create_engine(name, program)
-            executor = ParallelExecutor(
-                engine,
-                lambda name=name: create_engine(name, "", build=False),
-                max_workers=max_workers,
-            )
-            try:
-                result = executor.execute(batch)
-            finally:
-                executor.close()
+            result = BatchExecutor(engine).execute(batch)
             report.replays += 1
-            report.parallel_batches += 1
-            report.parallel_groups += result.parallel_groups
+            report.service_batches += 1
+            report.commuting_groups += result.parallel_groups
             rejected = [o.name for o in result.outcomes if not o.committed]
             actual = _signature(engine)
-            if rejected:
+            if rejected != [inadmissible[0]]:
                 detail = f"transactions rejected: {rejected}"
             elif actual[0] != expected[0]:
-                detail = "parallel batch model differs from serial replay"
+                detail = "scheduled batch model differs from serial replay"
             elif actual[1] != expected[1]:
                 detail = (
-                    "parallel batch canonical supports differ from "
+                    "scheduled batch canonical supports differ from "
                     "serial replay"
                 )
             else:
@@ -545,7 +542,7 @@ def fuzz_parallel_service(
                         engine, actual[2], asserted
                     )
                     if defect is not None:
-                        detail = f"after parallel batch, {defect}"
+                        detail = f"after scheduled batch, {defect}"
             if detail is not None:
                 report.violations.append(
                     FuzzViolation(label, name, all_updates, [], detail)
@@ -571,11 +568,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--rng-seed", type=int, default=0, help="pair-drawing seed"
     )
     parser.add_argument(
-        "--threaded",
+        "--service",
         action="store_true",
         help=(
-            "also run the threaded mode: scheduled-parallel batch "
-            "execution through the revision service vs serial replay"
+            "also run the service mode: scheduled batch execution "
+            "through the revision service's executor vs serial replay"
         ),
     )
     args = parser.parse_args(argv)
@@ -584,12 +581,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     print(report.summary())
     ok = report.ok
-    if args.threaded:
-        threaded = fuzz_parallel_service(
+    if args.service:
+        service = fuzz_service_batches(
             range(args.seeds), rng_seed=args.rng_seed
         )
-        print(threaded.summary())
-        ok = ok and threaded.ok
+        print(service.summary())
+        ok = ok and service.ok
     return 0 if ok else 1
 
 

@@ -490,7 +490,7 @@ class ConflictGraph:
         every transaction lands strictly after its conflicting
         predecessors (longest-conflict-chain leveling), so group-by-group
         execution is equivalent to the submission-order serial replay —
-        the contract the parallel executor journals under.
+        the contract the service's batch executor journals under.
         """
         if preserve_order:
             level: dict[str, int] = {}

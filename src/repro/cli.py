@@ -585,9 +585,6 @@ def run_serve(argv) -> int:
         "--port", type=int, default=0, help="0 picks an ephemeral port"
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="parallel execution workers"
-    )
-    parser.add_argument(
         "--batch-window",
         type=float,
         default=0.002,
@@ -618,7 +615,7 @@ def run_serve(argv) -> int:
     def ready(server) -> None:
         print(f"serving on {server.host}:{server.port}", flush=True)
 
-    with RevisionService(store, max_workers=args.workers) as service:
+    with RevisionService(store) as service:
         try:
             asyncio.run(
                 serve(

@@ -14,8 +14,9 @@ Three properties carry the design:
 
 * **Append-only interning.** A slot, once assigned, never changes meaning,
   so arenas may be shared freely between an engine, its checkpoints, and
-  any engine restored from its state: concurrent append is id-stable and
-  decode caches are idempotent. Garbage (records no table references any
+  any engine restored from its state, and decode caches are idempotent.
+  Interning is a plain get-or-append: one thread at a time revises an
+  engine (the revision service serializes its writers). Garbage (records no table references any
   more) accumulates; the serializer renumbers reachable slots canonically
   at encode time, so on-disk bytes are independent of arena history.
 
@@ -40,7 +41,6 @@ states.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datalog.atoms import Atom
@@ -100,7 +100,6 @@ class Arena:
         "_expand_owner",
         "_expand_pos",
         "_expand_neg",
-        "_lock",
     )
 
     def __init__(self) -> None:
@@ -149,43 +148,12 @@ class Arena:
         self._expand_owner: Optional[object] = None
         self._expand_pos: Dict[int, frozenset[str]] = {}
         self._expand_neg: Dict[int, frozenset[str]] = {}
-        # -- opt-in intern lock (see share_across_threads) --------------
-        self._lock: Optional[threading.RLock] = None
-
-    # ------------------------------------------------------------------
-    # Concurrent interning (opt-in)
-    # ------------------------------------------------------------------
-    #
-    # Append-only interning is what lets checkpoints share an arena, but
-    # the miss path of every intern method is check-then-append: two
-    # threads interning the same new object could race and mint two slots
-    # for it, breaking the one-slot-per-object invariant the tables and
-    # the canonical encoder rely on. The parallel executor therefore calls
-    # share_across_threads() on the arena it fans out over; interning then
-    # double-checks under the lock on the miss path only. Unshared arenas
-    # pay exactly one extra attribute load per miss and nothing per hit,
-    # preserving the single-threaded intern cost (E20 guard).
-
-    def share_across_threads(self) -> None:
-        """Make interning safe under concurrent threads (idempotent)."""
-        if self._lock is None:
-            self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Atoms
     # ------------------------------------------------------------------
 
     def intern_atom(self, atom: Atom) -> int:
-        slot = self._atom_ids.get(atom)
-        if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_atom_miss(atom)
-            return self._intern_atom_miss(atom)
-        return slot
-
-    def _intern_atom_miss(self, atom: Atom) -> int:
         slot = self._atom_ids.get(atom)
         if slot is None:
             slot = len(self.atoms)
@@ -209,16 +177,6 @@ class Arena:
             return NO_RULE
         slot = self._rule_ids.get(rule)
         if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_rule_miss(rule)
-            return self._intern_rule_miss(rule)
-        return slot
-
-    def _intern_rule_miss(self, rule: Clause) -> int:
-        slot = self._rule_ids.get(rule)
-        if slot is None:
             slot = len(self.rules)
             self.rules.append(rule)
             self._rule_ids[rule] = slot
@@ -240,32 +198,12 @@ class Arena:
     def intern_entry(self, entry: "str | Signed") -> int:
         slot = self._entry_ids.get(entry)
         if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_entry_miss(entry)
-            return self._intern_entry_miss(entry)
-        return slot
-
-    def _intern_entry_miss(self, entry: "str | Signed") -> int:
-        slot = self._entry_ids.get(entry)
-        if slot is None:
             slot = len(self.entries)
             self.entries.append(entry)
             self._entry_ids[entry] = slot
         return slot
 
     def intern_element(self, members: frozenset[int]) -> int:
-        slot = self._element_ids.get(members)
-        if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_element_miss(members)
-            return self._intern_element_miss(members)
-        return slot
-
-    def _intern_element_miss(self, members: frozenset[int]) -> int:
         slot = self._element_ids.get(members)
         if slot is None:
             slot = len(self.element_members)
@@ -387,22 +325,10 @@ class Arena:
         key = (rule_slot, pos, neg)
         slot = self._fact_ids.get(key)
         if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_fact_record_miss(key)
-            return self._intern_fact_record_miss(key)
-        return slot
-
-    def _intern_fact_record_miss(
-        self, key: Tuple[int, frozenset[int], frozenset[int]]
-    ) -> int:
-        slot = self._fact_ids.get(key)
-        if slot is None:
             slot = len(self.fact_rule)
-            self.fact_rule.append(key[0])
-            self.fact_pos.append(key[1])
-            self.fact_neg.append(key[2])
+            self.fact_rule.append(rule_slot)
+            self.fact_pos.append(pos)
+            self.fact_neg.append(neg)
             self._fact_ids[key] = slot
             self._fact_decoded.append(None)
         return slot
@@ -431,16 +357,6 @@ class Arena:
         slot = self._rule_record_ids.get(rule_slot)
         if slot is None:
             assert rule is not None  # NO_RULE is pre-interned
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_rule_record_miss(rule, rule_slot)
-            return self._intern_rule_record_miss(rule, rule_slot)
-        return slot
-
-    def _intern_rule_record_miss(self, rule: Clause, rule_slot: int) -> int:
-        slot = self._rule_record_ids.get(rule_slot)
-        if slot is None:
             slot = len(self.rule_record_rule)
             self.rule_record_rule.append(rule_slot)
             self.rule_record_pos.append(
@@ -479,19 +395,9 @@ class Arena:
         key = (pos_slot, neg_slot)
         slot = self._paired_ids.get(key)
         if slot is None:
-            lock = self._lock
-            if lock is not None:
-                with lock:
-                    return self._intern_paired_record_miss(key)
-            return self._intern_paired_record_miss(key)
-        return slot
-
-    def _intern_paired_record_miss(self, key: Tuple[int, int]) -> int:
-        slot = self._paired_ids.get(key)
-        if slot is None:
             slot = len(self.paired_pos)
-            self.paired_pos.append(key[0])
-            self.paired_neg.append(key[1])
+            self.paired_pos.append(pos_slot)
+            self.paired_neg.append(neg_slot)
             self._paired_ids[key] = slot
             self._paired_decoded.append(None)
         return slot
@@ -638,37 +544,6 @@ class SupportTable:
     def get(self, slot: int) -> Optional[Set[int]]:
         """The record set of *slot* (read-only view), or None."""
         return self._map.get(slot)
-
-    def delta_from(
-        self, base: "SupportTable"
-    ) -> Dict[int, Optional[Set[int]]]:
-        """Per-slot changes of this table relative to *base*.
-
-        Returns ``{slot: records}`` for slots added or rewritten and
-        ``{slot: None}`` for slots removed. When this table descends from
-        ``base.copy()`` and *base* was not mutated since (the parallel
-        executor's worker tables), only the privatized slots are scanned —
-        O(slots actually written) — and unchanged-but-privatized slots
-        (written back to their base value) are filtered out by one
-        equality test each. A table without copy lineage falls back to a
-        full key scan, which is exact but O(table).
-        """
-        delta: Dict[int, Optional[Set[int]]] = {}
-        base_map = base._map
-        mine = self._map
-        for slot in base_map.keys() - mine.keys():
-            delta[slot] = None
-        owned = self._owned
-        candidates: Iterable[int] = (
-            owned if owned is not None else mine.keys()
-        )
-        for slot in candidates:
-            records = mine.get(slot)
-            if records is None:
-                continue  # privatized, then popped: caught above
-            if base_map.get(slot) != records:
-                delta[slot] = set(records)
-        return delta
 
     def __contains__(self, slot: int) -> bool:
         return slot in self._map

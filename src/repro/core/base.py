@@ -193,18 +193,6 @@ class MaintenanceEngine(ABC):
         """Deep copy of the support structures. Default: support-free."""
         return {}
 
-    def _live_support_state(self) -> dict:
-        """The support structures *without* a defensive copy.
-
-        The parallel executor diffs a worker's post-transaction supports
-        against the checkpoint it started from; for arena engines the
-        copy in :meth:`_support_state` would reset the tables' owned-slot
-        sets and destroy the O(changed) delta. Callers must treat the
-        returned containers as read-only and drop them before the engine
-        mutates again. Default: the plain copy (correct everywhere).
-        """
-        return self._support_state()
-
     def _load_support_state(self, state: dict) -> None:
         """Adopt support structures from a :meth:`_support_state` copy."""
         self._reset_supports()
@@ -229,7 +217,7 @@ class MaintenanceEngine(ABC):
             "supports": self._support_state(),
         }
 
-    def restore(self, checkpoint: dict, *, exact_program: bool = True) -> None:
+    def restore(self, checkpoint: dict) -> None:
         """Adopt the belief state of a :meth:`checkpoint`.
 
         The checkpoint stays valid afterwards (the model and support
@@ -237,21 +225,18 @@ class MaintenanceEngine(ABC):
         checkpoint can back out any number of failed attempts. Database
         structures are rebuilt only when the program actually changed
         since the checkpoint was taken; when only *facts* differ (the
-        shape of every transaction rollback and of the parallel
-        executor's worker catch-up), the existing database is adjusted
-        with incremental assert/retract instead of a full stratification
-        rebuild.
+        shape of every transaction rollback), the existing database is
+        adjusted with incremental assert/retract instead of a full
+        stratification rebuild.
 
-        With ``exact_program=True`` (the default) the adjusted clause
-        tuple must reproduce the checkpoint's ordering exactly —
-        ``state_dict`` serializes the program in order, so snapshot bytes
-        stay deterministic — falling back to a rebuild otherwise.
-        Callers that never serialize the program (worker engines) pass
-        ``False`` and accept any ordering of the same clause set.
+        The restored clause tuple reproduces the checkpoint's ordering
+        exactly — ``state_dict`` serializes the program in order, so
+        snapshot bytes stay deterministic — falling back to a rebuild
+        when the incremental adjustment cannot.
         """
         program = tuple(checkpoint["program"])
         granularity = checkpoint.get("granularity", self.db.granularity)
-        if not self._adopt_program(program, granularity, exact_program):
+        if not self._adopt_program(program, granularity):
             self.db = StratifiedDatabase(Program(program), granularity)
         self.method = checkpoint.get("method", self.method)
         self._pin_rule_plans()
@@ -260,9 +245,7 @@ class MaintenanceEngine(ABC):
         self._derivations_fired = 0
         self._transient = 0
 
-    def _adopt_program(
-        self, program: tuple, granularity, exact: bool
-    ) -> bool:
+    def _adopt_program(self, program: tuple, granularity) -> bool:
         """Try to reshape ``self.db`` into *program* without a rebuild."""
         current = self.db.program.clauses
         if current == program and self.db.granularity == granularity:
@@ -279,15 +262,13 @@ class MaintenanceEngine(ABC):
         if old_facts == new_facts:
             # Same clause set, different order: only a rebuild can
             # reproduce the checkpoint's ordering.
-            return not exact
+            return False
         for fact in old_facts - new_facts:
             self.db.retract_fact(fact)
         for fact in new_ordered:
             if fact not in old_facts:
                 self.db.assert_fact(fact)
-        if exact and self.db.program.clauses != program:
-            return False
-        return True
+        return self.db.program.clauses == program
 
     # ------------------------------------------------------------------
     # Public update API

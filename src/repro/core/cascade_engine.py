@@ -135,10 +135,6 @@ class CascadeEngine(MaintenanceEngine):
     def _support_state(self) -> dict:
         return {"records": ArenaRuleRecords(self._arena, self._table.copy())}
 
-    def _live_support_state(self) -> dict:
-        # Uncopied live table: preserves _owned for O(changed) diffs.
-        return {"records": ArenaRuleRecords(self._arena, self._table)}
-
     def _load_support_state(self, state: dict) -> None:
         self._slot_cache.clear()
         self._cluster_cache.clear()

@@ -126,10 +126,6 @@ class DynamicEngine(MaintenanceEngine):
         # PairSupport is immutable; copying the dict is a deep copy.
         return {"supports": dict(self._supports)}
 
-    def _live_support_state(self) -> dict:
-        # The live dict itself; values are immutable PairSupports.
-        return {"supports": self._supports}
-
     def _load_support_state(self, state: dict) -> None:
         self._supports = dict(state["supports"])
 

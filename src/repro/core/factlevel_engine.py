@@ -117,10 +117,6 @@ class FactLevelEngine(MaintenanceEngine):
         # snapshot is O(facts with support), not O(entries).
         return {"records": ArenaFactRecords(self._arena, self._table.copy())}
 
-    def _live_support_state(self) -> dict:
-        # Uncopied live table: preserves _owned for O(changed) diffs.
-        return {"records": ArenaFactRecords(self._arena, self._table)}
-
     def _load_support_state(self, state: dict) -> None:
         records = state["records"]
         if not isinstance(records, ArenaFactRecords):

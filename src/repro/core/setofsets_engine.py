@@ -258,20 +258,6 @@ class SetOfSetsEngine(MaintenanceEngine):
             "records": ArenaPairedRecords(self._arena, self._rec_table.copy()),
         }
 
-    def _live_support_state(self) -> dict:
-        # Uncopied live tables: preserve _owned for O(changed) diffs.
-        if self.mode == "paper":
-            return {
-                "supports": ArenaSosSupports(
-                    self._arena, self._pos_table, self._neg_table
-                ),
-                "records": {},
-            }
-        return {
-            "supports": {},
-            "records": ArenaPairedRecords(self._arena, self._rec_table),
-        }
-
     def _load_support_state(self, state: dict) -> None:
         # v1 snapshots and legacy states carry the object-level mappings
         # ({fact: SetOfSetsSupport} / {fact: {PairedRecord}}).

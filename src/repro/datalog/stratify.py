@@ -64,7 +64,7 @@ class Stratum:
     asserted or retracted (rule updates rebuild the whole stratification).
     Membership is indexed and the exposed tuple is cached, so registering
     an asserted fact costs O(1) however many facts the stratum holds —
-    the service's worker engines re-sync fact diffs on every restore.
+    every transaction rollback re-syncs its fact diff on restore.
     """
 
     __slots__ = (

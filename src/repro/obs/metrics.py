@@ -12,9 +12,9 @@ cost at one attribute lookup:
   the instrument handle once; when telemetry is off the handle is one of
   the shared null instruments below, whose methods are no-ops.
 
-Instruments and the registry are thread-safe: the concurrent service's
-worker pool increments counters and observes histograms from many threads
-at once, so every update takes a per-instrument lock and create-or-get
+Instruments and the registry are thread-safe: sessions sharing one
+revision service increment counters and observe histograms from many
+threads at once, so every update takes a per-instrument lock and create-or-get
 takes a registry lock. The disabled path is untouched — ``OBS.metrics``
 is the lock-free :class:`NullRegistry` then, and the ``if OBS.enabled:``
 guard is still one attribute lookup (the E19 overhead guard enforces it).

@@ -161,7 +161,7 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """A stack-shaped span builder with a bounded completed-trace history.
 
-    The open-span stack is **thread-local**: each worker thread of the
+    The open-span stack is **thread-local**: each thread calling into the
     concurrent service builds its own span tree (a span opened on one
     thread never becomes the child of another thread's span), while the
     completed-trace deque is shared — ``deque.append`` is atomic, so

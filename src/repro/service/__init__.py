@@ -1,18 +1,12 @@
-"""The concurrent revision service (ROADMAP item 1).
+"""The concurrent revision service: one engine, many sessions.
 
 Layers, bottom up:
 
-* :mod:`repro.service.merge` — engine-generic *state deltas*: what one
-  transaction changed relative to a checkpoint (model facts + support
-  slots), extracted in O(changed) from the copy-on-write arena tables,
-  with cross-transaction conflict detection on overlapping slots.
-* :mod:`repro.service.executor` — :class:`ParallelExecutor`: runs a
+* :mod:`repro.service.executor` — :class:`BatchExecutor`: runs a
   transaction batch through the commutation scheduler
-  (:meth:`repro.analysis.schedule.ConflictGraph.commuting_batches`),
-  executes each commuting group's transactions in worker threads against
-  per-worker ``engine.checkpoint()`` snapshots, merges the deltas
-  deterministically, and falls back to serial execution for conflicting
-  arcs (DL011), rule updates, and any group whose deltas collide.
+  (:meth:`repro.analysis.schedule.CommutationOracle.commuting_groups`)
+  and applies every transaction, group by group, on the store's engine
+  under a per-transaction ``checkpoint()`` / ``restore()`` rollback.
 * :mod:`repro.service.core` — :class:`RevisionService`: the executor
   wrapped around a durable :class:`~repro.store.Store` with journal
   group commit (one fsync per admitted batch) and epoch-pinned
@@ -23,17 +17,13 @@ Layers, bottom up:
 """
 
 from .core import BatchResult, ReadView, RevisionService
-from .executor import ExecutionReport, ParallelExecutor, TransactionOutcome
-from .merge import StateDelta, extract_delta, merge_deltas
+from .executor import BatchExecutor, ExecutionReport, TransactionOutcome
 
 __all__ = [
+    "BatchExecutor",
     "BatchResult",
     "ExecutionReport",
-    "ParallelExecutor",
     "ReadView",
     "RevisionService",
-    "StateDelta",
     "TransactionOutcome",
-    "extract_delta",
-    "merge_deltas",
 ]

@@ -1,12 +1,13 @@
-"""The revision service: scheduled-parallel admission over a durable store.
+"""The revision service: batch admission over a durable store.
 
 :class:`RevisionService` is the single-writer front door to one
 :class:`~repro.store.Store`. A submitted batch goes through the
-:class:`~.executor.ParallelExecutor` (commutation scheduling, worker
-threads, delta merge) and the accepted transactions are made durable with
-**one** journal group commit — one fsync, one redo-tail check — instead of
-one per transaction. That, plus scheduling, is where the throughput over
-per-transaction serial admission comes from (benchmark E22).
+:class:`~.executor.BatchExecutor` (commutation scheduling, then every
+transaction applied on the store's engine with per-transaction rollback)
+and the accepted transactions are made durable with **one** journal group
+commit — one fsync, one redo-tail check — instead of one per transaction
+(benchmark E22 counts them). If that commit fails, the engine is restored
+to its state before the batch: live state never runs ahead of the journal.
 
 Readers never block the writer: :meth:`RevisionService.read_view` pins an
 ``engine.checkpoint()`` — kilobytes of copy-on-write references — tagged
@@ -25,10 +26,9 @@ import threading
 from typing import Iterable, List, Tuple
 
 from ..core.base import _as_fact
-from ..core.registry import create_engine
 from ..obs import OBS
 from ..store.store import Store
-from .executor import ExecutionReport, ParallelExecutor, TransactionOutcome
+from .executor import BatchExecutor, ExecutionReport, TransactionOutcome
 
 
 class BatchResult:
@@ -104,21 +104,15 @@ class ReadView:
 
 
 class RevisionService:
-    """Concurrent admission, group-commit durability, pinned readers."""
+    """Batch admission, group-commit durability, pinned readers."""
 
     def __init__(self, store: Store, max_workers: int = 4) -> None:
+        # max_workers is accepted and unused: perf/workloads.py:449
+        # (frozen) still passes it; ROADMAP item 1 retires it.
         self.store = store
         self._lock = threading.RLock()
         self._closed = False
-
-        def factory():
-            return create_engine(
-                store.engine_name, "", build=False, **store.engine_kwargs
-            )
-
-        self.executor = ParallelExecutor(
-            store.engine, factory, max_workers=max_workers
-        )
+        self.executor = BatchExecutor(store.engine)
 
     # ------------------------------------------------------------------
     # Writing
@@ -132,18 +126,25 @@ class RevisionService:
 
         The final engine state and journal are identical to admitting the
         accepted transactions one by one in submission order; rejected
-        transactions (inadmissible updates) leave no trace.
+        transactions (inadmissible updates) leave no trace. When the
+        group commit itself fails (full disk, failed fsync) the engine is
+        rolled back to its state before the batch and the error re-raised.
         """
         with self._lock:
             self._check_open()
             with OBS.span("service:batch") as span:
                 # store.travel()/undo() swap the engine object; re-point.
-                self.executor.engine = self.store.engine
+                engine = self.executor.engine = self.store.engine
+                before = engine.checkpoint()
                 report = self.executor.execute(batch)
                 accepted = report.accepted()
-                seqs = self.store.commit_batch(
-                    [updates for _, updates in accepted]
-                )
+                try:
+                    seqs = self.store.commit_batch(
+                        [updates for _, updates in accepted]
+                    )
+                except BaseException:
+                    engine.restore(before)
+                    raise
                 if span:
                     span.set("committed", len(seqs))
                 if OBS.enabled and seqs:
@@ -218,7 +219,6 @@ class RevisionService:
         with self._lock:
             if not self._closed:
                 self._closed = True
-                self.executor.close()
                 self.store.close()
 
     def _check_open(self) -> None:

@@ -1,43 +1,31 @@
-"""Commutation-scheduled parallel execution of transaction batches.
+"""Commutation-scheduled execution of transaction batches on one engine.
 
-:class:`ParallelExecutor` owns one *authoritative* engine plus a pool of
-worker engines of the same construction. A batch runs in four steps:
+:class:`BatchExecutor` applies a batch to the store's engine — the one
+maintained belief state — in two steps:
 
-1. **Schedule** — build the batch's
-   :class:`~repro.analysis.schedule.ConflictGraph` (the update-cone
-   analyzer is cached while the program's *rules* are unchanged — facts
-   never transmit deltas, so fact churn keeps the cache valid) and
-   partition it with ``commuting_batches(preserve_order=True)``: group
-   execution order realizes the submission-order serial history.
-2. **Execute** — for each group of two or more, take one authoritative
-   ``checkpoint()``, restore every worker from it (restores are
-   serialized in the coordinator — ``Model.copy`` toggles shared
-   copy-on-write flags), then run the group's transactions in pool
-   threads. Workers share the arena's append-only intern tables
-   (``share_across_threads()`` arms the intern locks) and the
-   checkpoint's copy-on-write containers, privatizing only what they
-   write.
-3. **Merge** — each worker returns a :class:`~.merge.StateDelta`;
-   :func:`~.merge.merge_deltas` unions them, and the result lands on the
-   authoritative engine in one O(changed) application.
-4. **Fall back** — rule updates (they rewrite statics), groups whose
-   deltas collide (history-dependent support sweeps), and any worker
-   exception re-run serially against the authoritative engine with
-   per-transaction checkpoint rollback — identical semantics, no
-   parallelism. Conflicting arcs (DL011) and negation-sensitive hazards
-   (DL013) never share a group in the first place: serialization
-   *between* groups is their fallback.
+1. **Schedule** — partition the batch with
+   :meth:`~repro.analysis.schedule.CommutationOracle.commuting_groups`
+   (``preserve_order=True``: group execution order realizes the
+   submission-order serial history). The update-cone analyzer behind the
+   oracle is cached while the program's *rules* are unchanged — facts
+   never transmit deltas, so fact churn keeps the cache valid. Conflicting
+   arcs (DL011) and negation-sensitive hazards (DL013) never share a
+   group. The oracle certifies fact updates only: a batch carrying a rule
+   update (it rewrites statics), or a batch of one, is a single
+   uncertified group in submission order.
+2. **Apply** — group by group, every transaction runs on the engine under
+   its own ``checkpoint()``; an inadmissible update rolls back to it with
+   ``restore()``, so a rejected transaction leaves no trace and the rest
+   of the batch commits.
 
-The executor leaves the authoritative engine in exactly the state the
-submission-order serial replay of the accepted transactions produces —
-the property the threaded fuzzer mode replays on every engine.
+The executor leaves the engine in exactly the state the submission-order
+serial replay of the accepted transactions produces — the property
+:func:`repro.analysis.fuzz.fuzz_service_batches` replays on every engine.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from ..analysis.schedule import CommutationOracle
 from ..analysis.update_cones import UpdateConeAnalyzer
@@ -46,14 +34,6 @@ from ..core.metrics import UpdateResult
 from ..datalog.atoms import Atom
 from ..datalog.clauses import Clause
 from ..obs import OBS
-from .merge import (
-    MergeConflict,
-    StateDelta,
-    apply_merged,
-    arenas_of,
-    extract_delta,
-    merge_deltas,
-)
 
 #: One normalized update: (operation, Atom | Clause).
 Update = Tuple[str, Union[Atom, Clause]]
@@ -62,7 +42,11 @@ _FACT_OPS = ("insert_fact", "delete_fact")
 
 
 class TransactionOutcome:
-    """What happened to one submitted transaction."""
+    """What happened to one submitted transaction.
+
+    ``mode`` is ``"commuting"`` for a member of a certified group of two
+    or more transactions and ``"serial"`` otherwise.
+    """
 
     __slots__ = ("name", "updates", "committed", "error", "mode", "results")
 
@@ -90,21 +74,19 @@ class TransactionOutcome:
 class ExecutionReport:
     """The executor's account of one batch."""
 
-    __slots__ = (
-        "outcomes", "groups", "parallel_groups", "serial_fallbacks",
-    )
+    __slots__ = ("outcomes", "groups", "parallel_groups")
 
     def __init__(
         self,
         outcomes: List[TransactionOutcome],
         groups: Tuple[Tuple[str, ...], ...],
         parallel_groups: int,
-        serial_fallbacks: int,
     ) -> None:
         self.outcomes = outcomes
         self.groups = groups
+        # Certified groups of >= 2 transactions. The name is kept for
+        # perf/workloads.py:472-487 (frozen); ROADMAP item 1 retires it.
         self.parallel_groups = parallel_groups
-        self.serial_fallbacks = serial_fallbacks
 
     def accepted(self) -> List[Tuple[str, Tuple[Update, ...]]]:
         """(name, updates) of committed transactions, submission order."""
@@ -118,7 +100,7 @@ class ExecutionReport:
         committed = sum(1 for o in self.outcomes if o.committed)
         return (
             f"ExecutionReport({committed}/{len(self.outcomes)} committed, "
-            f"{len(self.groups)} groups, {self.parallel_groups} parallel)"
+            f"{len(self.groups)} groups, {self.parallel_groups} commuting)"
         )
 
 
@@ -143,38 +125,14 @@ def _normalize(
     return normalized
 
 
-class ParallelExecutor:
-    """Scheduled-parallel batch execution over one authoritative engine."""
+class BatchExecutor:
+    """Scheduled batch execution on one engine."""
 
-    def __init__(
-        self,
-        engine: MaintenanceEngine,
-        worker_factory: Callable[[], MaintenanceEngine],
-        max_workers: int = 4,
-    ) -> None:
+    def __init__(self, engine: MaintenanceEngine) -> None:
         self.engine = engine
-        self.max_workers = max(1, max_workers)
-        self._worker_factory = worker_factory
-        self._workers: List[MaintenanceEngine] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._analyzer: Optional[UpdateConeAnalyzer] = None
         self._analyzer_rules: Optional[Tuple[Clause, ...]] = None
         self._oracle: Optional[CommutationOracle] = None
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Infrastructure
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self, needed: int) -> ThreadPoolExecutor:
-        while len(self._workers) < min(needed, self.max_workers):
-            self._workers.append(self._worker_factory())
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-exec",
-            )
-        return self._pool
 
     def analyzer(self) -> UpdateConeAnalyzer:
         """The update-cone analyzer, cached while the rule set holds.
@@ -199,229 +157,75 @@ class ParallelExecutor:
         assert self._oracle is not None
         return self._oracle
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
     def execute(
         self,
         batch: Iterable[Tuple[str, Iterable[Tuple[str, object]]]],
     ) -> ExecutionReport:
-        """Run *batch*; the engine ends in the serial-replay state.
-
-        One executor runs one batch at a time (guarded); concurrency
-        lives *inside* the batch.
-        """
-        with self._lock:
-            return self._execute(_normalize(batch))
-
-    def _execute(
-        self, batch: List[Tuple[str, Tuple[Update, ...]]]
-    ) -> ExecutionReport:
-        txn_map = dict(batch)
-        order = [name for name, _ in batch]
-        outcomes: dict[str, TransactionOutcome] = {}
+        """Run *batch*; the engine ends in the serial-replay state."""
+        transactions = _normalize(batch)
+        txn_map = dict(transactions)
         has_rule_ops = any(
             operation not in _FACT_OPS
-            for _, updates in batch
+            for _, updates in transactions
             for operation, _ in updates
         )
-        serial_only = (
-            has_rule_ops or len(batch) < 2 or self.max_workers < 2
-        )
-        parallel_groups = 0
-        serial_fallbacks = 0
+        outcomes: dict[str, TransactionOutcome] = {}
+        commuting_groups = 0
         with OBS.span("service:execute") as span:
-            if serial_only:
-                groups: Tuple[Tuple[str, ...], ...] = (tuple(order),)
-                self._run_serial(order, txn_map, outcomes, "serial")
+            if has_rule_ops or len(transactions) < 2:
+                groups: Tuple[Tuple[str, ...], ...] = (
+                    tuple(name for name, _ in transactions),
+                )
+                certified = False
             else:
                 groups = self.oracle().commuting_groups(
-                    batch, preserve_order=True
+                    transactions, preserve_order=True
                 )
-                for group in groups:
-                    if len(group) < 2:
-                        self._run_serial(group, txn_map, outcomes, "serial")
-                        continue
-                    if self._run_parallel(group, txn_map, outcomes):
-                        parallel_groups += 1
-                    else:
-                        serial_fallbacks += 1
+                certified = True
+            for group in groups:
+                mode = "serial"
+                if certified and len(group) > 1:
+                    mode = "commuting"
+                    commuting_groups += 1
+                for name in group:
+                    outcomes[name] = self._apply(name, txn_map[name], mode)
             if span:
-                span.set("transactions", len(batch))
+                span.set("transactions", len(transactions))
                 span.set("groups", len(groups))
-                span.set("parallel_groups", parallel_groups)
-                span.set("serial_fallbacks", serial_fallbacks)
+                span.set("commuting_groups", commuting_groups)
         if OBS.enabled:
             metrics = OBS.metrics
             metrics.counter(
                 "repro_service_batches_total",
-                "Transaction batches executed by the parallel executor",
+                "Transaction batches executed by the batch executor",
             ).inc()
             for outcome in outcomes.values():
                 metrics.counter(
                     "repro_service_txns_total",
-                    "Transactions executed, by path and fate",
+                    "Transactions executed, by schedule and fate",
                     mode=outcome.mode,
                     committed=str(outcome.committed).lower(),
                 ).inc()
-            if serial_fallbacks:
-                metrics.counter(
-                    "repro_service_serial_fallbacks_total",
-                    "Commuting groups re-run serially after a collision",
-                ).inc(serial_fallbacks)
         return ExecutionReport(
-            [outcomes[name] for name in order],
+            [outcomes[name] for name, _ in transactions],
             groups,
-            parallel_groups,
-            serial_fallbacks,
+            commuting_groups,
         )
 
-    def _run_serial(
-        self,
-        group: Sequence[str],
-        txn_map: dict,
-        outcomes: dict,
-        mode: str,
-    ) -> None:
-        """Apply the group's transactions in order, each atomically."""
+    def _apply(
+        self, name: str, updates: Tuple[Update, ...], mode: str
+    ) -> TransactionOutcome:
+        """Apply one transaction atomically: all its updates or none."""
         engine = self.engine
-        for name in group:
-            updates = txn_map[name]
-            saved = engine.checkpoint()
-            try:
-                results = tuple(
-                    engine.apply(operation, subject)
-                    for operation, subject in updates
-                )
-            except Exception as error:
-                engine.restore(saved)
-                outcomes[name] = TransactionOutcome(
-                    name, updates, False, str(error), mode, ()
-                )
-            else:
-                outcomes[name] = TransactionOutcome(
-                    name, updates, True, None, mode, results
-                )
-
-    def _run_parallel(
-        self, group: Tuple[str, ...], txn_map: dict, outcomes: dict
-    ) -> bool:
-        """Execute one commuting group in worker threads; merge or punt.
-
-        Returns True when the group merged in parallel; False when it
-        fell back to serial (worker failure or delta collision). Either
-        way the authoritative engine ends in the group's serial state.
-        """
-        engine = self.engine
-        base = engine.checkpoint()
-        for arena in arenas_of(base["supports"]):
-            arena.share_across_threads()
-        pool = self._ensure_pool(len(group))
-        deltas: List[StateDelta] = []
-        results_by_name: dict[str, Tuple[UpdateResult, ...]] = {}
-        failure: Optional[BaseException] = None
-        names = list(group)
-        with OBS.span("service:group") as span:
-            # Each worker takes a *share* of the group — the transactions
-            # commute, so a worker may apply its share sequentially and
-            # come back with one combined delta: one restore and one
-            # delta extraction per worker instead of per transaction.
-            shares = [
-                names[offset :: len(self._workers)]
-                for offset in range(min(len(self._workers), len(names)))
-            ]
-            assignments = []
-            for worker, share in zip(self._workers, shares):
-                # Restores stay on the coordinator thread: Model.copy
-                # flips shared copy-on-write flags on both sides.
-                # Workers never serialize their program, so they take
-                # the order-insensitive incremental catch-up path.
-                worker.restore(base, exact_program=False)
-                assignments.append((worker, share))
-            futures = [
-                pool.submit(
-                    self._run_worker_share, worker, share, txn_map, base
-                )
-                for worker, share in assignments
-            ]
-            for future in futures:
-                try:
-                    delta, share_results = future.result()
-                except Exception as error:  # noqa: BLE001
-                    failure = error
-                else:
-                    deltas.append(delta)
-                    results_by_name.update(share_results)
-            merged = None
-            if failure is None:
-                try:
-                    merged = merge_deltas(deltas)
-                except MergeConflict as conflict:
-                    failure = conflict
-            if span:
-                span.set("size", len(group))
-                span.set("merged", failure is None)
-            if failure is not None or merged is None:
-                # The authoritative engine never saw the workers' writes;
-                # replay the group serially from its unchanged state.
-                self._run_serial(names, txn_map, outcomes, "serial-fallback")
-                return False
-            added, removed, supports = merged
-            updates_in_order = [
-                update for name in names for update in txn_map[name]
-            ]
-            apply_merged(engine, updates_in_order, added, removed, supports)
-            for name in names:
-                outcomes[name] = TransactionOutcome(
-                    name,
-                    txn_map[name],
-                    True,
-                    None,
-                    "parallel",
-                    results_by_name[name],
-                )
-        return True
-
-    @staticmethod
-    def _run_worker_share(
-        worker: MaintenanceEngine,
-        share: Sequence[str],
-        txn_map: dict,
-        base: dict,
-    ) -> Tuple[StateDelta, dict]:
-        """One worker's share of a commuting group (pool thread).
-
-        The share's transactions commute pairwise with the whole group,
-        so applying them sequentially on one engine and extracting a
-        single combined delta is equivalent to per-transaction deltas —
-        :meth:`SupportTable.delta_from` nets against the shared base
-        either way. Any failure aborts the share; the executor then
-        re-runs the whole group serially (per-transaction atomicity is
-        re-established there).
-        """
-        results_by_name: dict[str, Tuple[UpdateResult, ...]] = {}
-        combined: List[UpdateResult] = []
-        for name in share:
+        saved = engine.checkpoint()
+        try:
             results = tuple(
-                worker.apply(operation, subject)
-                for operation, subject in txn_map[name]
+                engine.apply(operation, subject)
+                for operation, subject in updates
             )
-            results_by_name[name] = results
-            combined.extend(results)
-        delta = extract_delta(
-            "+".join(share), worker, base["model"], base["supports"], combined
-        )
-        return delta, results_by_name
+        except Exception as error:
+            engine.restore(saved)
+            return TransactionOutcome(
+                name, updates, False, str(error), mode, ()
+            )
+        return TransactionOutcome(name, updates, True, None, mode, results)

@@ -8,10 +8,10 @@ Write path — *micro-batching*. A ``commit`` request does not run the
 transaction inline: it lands on the submission queue and the single
 writer task drains whatever is queued (bounded by ``max_batch``, padded
 by ``batch_window`` seconds of gathering), admitting the whole batch
-through :meth:`RevisionService.submit_batch` in a worker thread. The more
-sessions submit concurrently, the larger the commuting groups and the
-more transactions share one journal fsync — throughput *rises* with
-session count on disjoint-key traffic (benchmark E22).
+through :meth:`RevisionService.submit_batch`, run off the event loop in
+the loop's default thread executor so sessions keep being served. The
+more sessions submit concurrently, the more transactions share one
+scheduling pass and one journal fsync (benchmark E22b counts them).
 
 Read path — sessions either query the live model (serialized with the
 writer, one consistent read) or ``pin`` a checkpoint epoch and ``read``
@@ -23,7 +23,7 @@ Ops::
     {"op": "ping"}                          -> {"ok": true, "revision": N}
     {"op": "commit", "updates": ["+d(a,1)", "-d(a,2)"]}
                                             -> {"ok": true, "committed": true,
-                                                "seq": N, "mode": "parallel"}
+                                                "seq": N, "mode": "commuting"}
     {"op": "query", "fact": "posted(a,1)"}  -> {"ok": true, "holds": true}
     {"op": "pin"}                           -> {"ok": true, "view": "v1",
                                                 "epoch": N}

@@ -348,6 +348,24 @@ class TestEngineIntegration:
             engine.apply("insert_fact", fact("r", 1))
             assert engine.is_consistent()
 
+    def test_restore_reproduces_clause_order_and_bytes(self):
+        # Delete-then-reinsert leaves the same clause *set* with q(1)
+        # moved to the end; restore must bring back the checkpoint's
+        # exact tuple, because state_dict serializes the program in order.
+        for name in ("factlevel", "cascade", "setofsets-paired", "dynamic"):
+            engine = create_engine(name, self.PROGRAM)
+            before = dumps(engine.state_dict())
+            checkpoint = engine.checkpoint()
+            engine.apply("delete_fact", fact("q", 1))
+            engine.apply("insert_fact", fact("q", 1))
+            assert engine.db.program.clauses != checkpoint["program"]
+            assert set(engine.db.program.clauses) == set(
+                checkpoint["program"]
+            )
+            engine.restore(checkpoint)
+            assert engine.db.program.clauses == checkpoint["program"]
+            assert dumps(engine.state_dict()) == before
+
     def test_arena_is_not_an_option(self):
         for name in ("factlevel", "recompute"):
             with pytest.raises(TypeError):

@@ -1,11 +1,11 @@
-"""The concurrent revision service: executor, merge, store, server.
+"""The concurrent revision service: executor, store, server.
 
 The load-bearing property everywhere: admitting a batch through the
-scheduled-parallel path must leave the engine (and the store) in exactly
-the state of a submission-order serial replay — models byte-identical,
-canonical supports byte-identical, journal identical. The stress test
-drives that differential across every registered engine with real worker
-threads via the fuzzer's threaded mode.
+scheduler must leave the engine (and the store) in exactly the state of
+a submission-order serial replay — models byte-identical, canonical
+supports byte-identical, journal identical. The fuzzer's service mode
+drives that differential, rollback included, across every registered
+engine.
 """
 
 import asyncio
@@ -13,19 +13,14 @@ import threading
 
 import pytest
 
-from repro.analysis.fuzz import fuzz_parallel_service
+from repro.analysis.fuzz import fuzz_service_batches
 from repro.core.registry import ENGINE_NAMES, create_engine
 from repro.datalog.parser import parse_fact
 from repro.service import RevisionService
-from repro.service.executor import ParallelExecutor
-from repro.service.merge import (
-    MergeConflict,
-    StateDelta,
-    fold_results,
-    merge_deltas,
-)
+from repro.service.executor import BatchExecutor
 from repro.service.server import RevisionServer, ServiceClient, parse_update
 from repro.store import open_store
+from repro.store.journal import Journal
 from repro.workloads.families import sharded_by_key
 from repro.workloads.updates import keyed_transactions
 
@@ -51,15 +46,8 @@ def _ledger_batch(seed: int = 0, per_txn: int = 2):
     return program, batch
 
 
-def _factory(engine_name):
-    def make():
-        return create_engine(engine_name, "", build=False)
-
-    return make
-
-
 # ----------------------------------------------------------------------
-# Executor: parallel == serial on every engine
+# Executor: scheduled == serial on every engine
 # ----------------------------------------------------------------------
 
 
@@ -72,15 +60,20 @@ def test_executor_matches_serial_replay(engine_name):
             serial.apply(operation, fact)
 
     engine = create_engine(engine_name, program)
-    with ParallelExecutor(
-        engine, _factory(engine_name), max_workers=4
-    ) as executor:
-        report = executor.execute(batch)
+    report = BatchExecutor(engine).execute(batch)
 
     assert all(outcome.committed for outcome in report.outcomes)
     assert engine.state_dict() == serial.state_dict()
-    # Disjoint-key traffic must actually exercise the parallel path.
+    # Disjoint-key traffic must be certified into groups of >= 2, and
+    # exactly their members are reported as commuting.
     assert report.parallel_groups > 0
+    commuting = {
+        name for group in report.groups if len(group) > 1 for name in group
+    }
+    assert {
+        o.name for o in report.outcomes if o.mode == "commuting"
+    } == commuting
+    assert {o.mode for o in report.outcomes} <= {"commuting", "serial"}
 
 
 def test_executor_rejects_inadmissible_and_preserves_rest():
@@ -90,8 +83,7 @@ def test_executor_rejects_inadmissible_and_preserves_rest():
     batch.insert(1, ("txn_bad", [bad]))
 
     engine = create_engine("factlevel", program)
-    with ParallelExecutor(engine, _factory("factlevel")) as executor:
-        report = executor.execute(batch)
+    report = BatchExecutor(engine).execute(batch)
 
     outcomes = {o.name: o for o in report.outcomes}
     assert not outcomes["txn_bad"].committed
@@ -115,52 +107,10 @@ def test_executor_serializes_rule_updates():
         ("txn_rule", [("insert_rule", "flagged(A) :- overdrawn(A).")])
     )
     engine = create_engine("cascade", program)
-    with ParallelExecutor(engine, _factory("cascade")) as executor:
-        report = executor.execute(batch)
+    report = BatchExecutor(engine).execute(batch)
     assert all(outcome.committed for outcome in report.outcomes)
     assert all(outcome.mode == "serial" for outcome in report.outcomes)
     assert report.parallel_groups == 0
-
-
-# ----------------------------------------------------------------------
-# Merge primitives
-# ----------------------------------------------------------------------
-
-
-def test_fold_results_last_verdict_wins():
-    class R:
-        def __init__(self, added, removed):
-            self.added = set(added)
-            self.removed = set(removed)
-
-    base = {"kept", "gone"}
-    added, removed = fold_results(
-        [
-            R({"new", "kept"}, set()),  # "kept" is re-derivation noise
-            R(set(), {"new", "gone"}),  # genuine removals
-        ],
-        base,
-    )
-    assert added == set()
-    assert removed == {"gone"}
-
-
-def test_merge_deltas_detects_collisions():
-    a = StateDelta("a", frozenset({"x"}), frozenset(), {})
-    b = StateDelta("b", frozenset(), frozenset({"x"}), {})
-    with pytest.raises(MergeConflict):
-        merge_deltas([a, b])
-
-    c = StateDelta("c", frozenset(), frozenset(), {("s",): {1: {"p"}}})
-    d = StateDelta("d", frozenset(), frozenset(), {("s",): {1: {"q"}}})
-    with pytest.raises(MergeConflict):
-        merge_deltas([c, d])
-
-    # Equal rewrites of one slot merge silently.
-    e = StateDelta("e", frozenset(), frozenset(), {("s",): {1: {"p"}}})
-    added, removed, supports = merge_deltas([c, e])
-    assert supports == {("s",): {1: {"p"}}}
-    assert added == set() and removed == set()
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +131,8 @@ def test_service_group_commit_equals_serial_store(tmp_path):
 
     service = RevisionService(
         open_store(
-            tmp_path / "parallel", program=str(program), engine="factlevel"
-        ),
-        max_workers=4,
+            tmp_path / "batched", program=str(program), engine="factlevel"
+        )
     )
     with service:
         result = service.submit_batch(batch)
@@ -241,7 +190,7 @@ def test_service_concurrent_submitters(tmp_path):
 
     store = open_store(tmp_path / "s", program=str(program), engine="factlevel")
     errors = []
-    with RevisionService(store, max_workers=4) as service:
+    with RevisionService(store) as service:
 
         def submit(chunk):
             try:
@@ -268,18 +217,53 @@ def test_service_concurrent_submitters(tmp_path):
         assert set(service.store.model) == set(serial.model)
 
 
-# ----------------------------------------------------------------------
-# Stress: the fuzzer's threaded differential on every engine
-# ----------------------------------------------------------------------
-
-
-def test_threaded_fuzz_parallel_equals_serial_all_engines():
-    report = fuzz_parallel_service(
-        range(2), transactions=8, rng_seed=11
+def test_failed_group_commit_rolls_back_engine(tmp_path, monkeypatch):
+    """A batch whose journal append fails leaves no trace, live or durable."""
+    program, batch = _ledger_batch(seed=9)
+    lost, acknowledged = batch[: len(batch) // 2], batch[len(batch) // 2 :]
+    lost_fact = next(
+        fact
+        for _, updates in lost
+        for operation, fact in updates
+        if operation == "insert_fact"
     )
+    oracle = create_engine("recompute", program)
+    for _, updates in acknowledged:
+        for operation, fact in updates:
+            oracle.apply(operation, fact)
+
+    def full_disk(self, payloads):
+        raise OSError("no space left on device")
+
+    path = tmp_path / "s"
+    store = open_store(path, program=str(program), engine="factlevel")
+    with RevisionService(store) as service:
+        with monkeypatch.context() as patch:
+            patch.setattr(Journal, "append_many", full_disk)
+            with pytest.raises(OSError):
+                service.submit_batch(lost)
+        assert service.revision == 0
+        assert not service.holds(lost_fact)
+        result = service.submit_batch(acknowledged)
+        assert result.committed == len(acknowledged)
+        assert set(service.store.model) == set(oracle.model)
+
+    reopened = open_store(path)
+    assert reopened.revision == len(acknowledged)
+    assert set(reopened.model) == set(oracle.model)
+    reopened.close()
+
+
+# ----------------------------------------------------------------------
+# Stress: the fuzzer's service differential on every engine
+# ----------------------------------------------------------------------
+
+
+def test_service_fuzz_batches_equal_serial_all_engines():
+    report = fuzz_service_batches(range(2), transactions=8, rng_seed=11)
     assert report.ok, report.summary()
-    assert report.parallel_batches >= len(ENGINE_NAMES)
-    assert report.parallel_groups > 0
+    assert report.service_batches >= len(ENGINE_NAMES)
+    assert report.commuting_groups > 0
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +291,7 @@ def test_server_sessions_commit_and_pin(tmp_path):
     store = open_store(tmp_path / "s", program=str(program), engine="factlevel")
 
     async def drive():
-        service = RevisionService(store, max_workers=4)
+        service = RevisionService(store)
         server = RevisionServer(service, batch_window=0.001)
         await server.start()
         try:
