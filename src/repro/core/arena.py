@@ -10,7 +10,7 @@ mapping atom slots to sets of record slots. The hot maintenance loops —
 record kills, well-foundedness fixpoints, REMOVEPOS/REMOVENEG sweeps —
 then run entirely over small ints and frozensets of ints.
 
-Three properties carry the design:
+Four properties carry the design:
 
 * **Append-only interning.** A slot, once assigned, never changes meaning,
   so arenas may be shared freely between an engine, its checkpoints, and
@@ -32,6 +32,23 @@ Three properties carry the design:
   :mod:`repro.core.supports` record objects on demand, through per-slot
   caches, so diagnostics and file formats are unchanged.
 
+* **A citation index over fact records.** Beside the record columns the
+  arena keeps, for the fact-level engine, atom slot -> record slots that
+  cite it positively / negatively (filled once, when a record is
+  interned: a record's body never changes) and record slot -> head slots
+  it was ever attached to (filled by :meth:`Arena.attach_fact_record`,
+  the one way a fact record gets a head — the saturation listener and
+  both snapshot loaders go through it). An update's kill pass and
+  groundedness check start from the changed atoms through this index
+  instead of scanning the store. It is **append-only** — never shrunk
+  when a record is killed — because checkpoints share the arena: a
+  ``restore()`` can resurrect a killed record and the index must still
+  know it, so readers filter candidates against the live
+  :class:`SupportTable`. It is **not serialised**: it is derived data,
+  and a loader rebuilds exactly the part the loaded table reaches, which
+  keeps snapshot bytes independent of arena history. A lone citer or head
+  is stored as a bare int, a list only from the second on.
+
 The arena is the only runtime representation of the fact-level, cascade
 and set-of-sets engines. The object-level mappings survive at the edges:
 ``ArenaXxx.to_record_state`` feeds the v1 codec, ``dumps`` fingerprints and
@@ -41,7 +58,7 @@ states.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.clauses import Clause
@@ -62,6 +79,29 @@ from .supports import (
 ASSERTION = 0
 EMPTY_ELEMENT = 0
 NO_RULE = 0  # rules[0] is None: the "rule" of an assertion record
+
+
+def _as_slots(entry: "None | int | List[int]") -> Sequence[int]:
+    """An index entry as a sequence: a lone slot is kept as a bare int."""
+    if entry is None:
+        return ()
+    if isinstance(entry, list):
+        return entry
+    return (entry,)
+
+
+def _cite(
+    citers: Dict[int, "int | List[int]"], atoms: Iterable[int], record: int
+) -> None:
+    """Add *record* to the citers of each of *atoms*."""
+    for atom in atoms:
+        known = citers.get(atom)
+        if known is None:
+            citers[atom] = record
+        elif isinstance(known, list):
+            known.append(record)
+        else:
+            citers[atom] = [known, record]
 
 
 class Arena:
@@ -86,6 +126,10 @@ class Arena:
         "fact_rule",
         "fact_pos",
         "fact_neg",
+        "fact_size",
+        "fact_heads",
+        "_fact_pos_citers",
+        "_fact_neg_citers",
         "_fact_ids",
         "_fact_decoded",
         "rule_record_rule",
@@ -127,6 +171,11 @@ class Arena:
         self._fact_decoded: List[Optional[FactRecord]] = [
             FactRecord.assertion()
         ]
+        self.fact_size: List[int] = [1]  # 1 + |pos| + |neg|, per record
+        # -- fact-record citation index (see the module docstring) ------
+        self.fact_heads: List["None | int | List[int]"] = [None]
+        self._fact_pos_citers: Dict[int, "int | List[int]"] = {}
+        self._fact_neg_citers: Dict[int, "int | List[int]"] = {}
         # -- rule records: (rule slot, body relation-name sets) ---------
         self.rule_record_rule: List[int] = [NO_RULE]
         self.rule_record_pos: List[frozenset[str]] = [frozenset()]
@@ -331,7 +380,43 @@ class Arena:
             self.fact_neg.append(neg)
             self._fact_ids[key] = slot
             self._fact_decoded.append(None)
+            self.fact_size.append(1 + len(pos) + len(neg))
+            self.fact_heads.append(None)
+            # A record's body never changes, so its citations are
+            # complete the moment the slot exists: once per record.
+            _cite(self._fact_pos_citers, pos, slot)
+            if neg:
+                _cite(self._fact_neg_citers, neg, slot)
         return slot
+
+    def attach_fact_record(
+        self, table: "SupportTable", head: int, record: int
+    ) -> None:
+        """Give *head* the fact record *record* in *table* — the one way
+        a fact record gets a head, so ``fact_heads`` knows every head a
+        record was ever attached to. The assertion record cites nothing
+        and is never looked up by citation; its heads are not kept."""
+        table.add(head, record)
+        if record != ASSERTION:
+            heads = self.fact_heads
+            known = heads[record]
+            if known is None:
+                heads[record] = head
+            elif isinstance(known, list):
+                if head not in known:
+                    known.append(head)
+            elif known != head:
+                heads[record] = [known, head]
+
+    def fact_record_heads(self, record: int) -> Sequence[int]:
+        """Every head *record* was ever attached to (live or not)."""
+        return _as_slots(self.fact_heads[record])
+
+    def fact_citers(self, atom: int, positive: bool) -> Sequence[int]:
+        """Every fact record ever interned with *atom* in its positive
+        (or negative) body — candidates; filter against the live table."""
+        citers = self._fact_pos_citers if positive else self._fact_neg_citers
+        return _as_slots(citers.get(atom))
 
     def decode_fact_record(self, slot: int) -> FactRecord:
         cached = self._fact_decoded[slot]
@@ -346,7 +431,7 @@ class Arena:
         return cached
 
     def fact_record_size(self, slot: int) -> int:
-        return 1 + len(self.fact_pos[slot]) + len(self.fact_neg[slot])
+        return self.fact_size[slot]
 
     # ------------------------------------------------------------------
     # Rule records (section 5.1 — the cascade engine)
@@ -484,20 +569,39 @@ class SupportTable:
     (``_owned`` tracks which value sets this table may mutate in place —
     ``None`` means all of them). Readers must treat the sets returned by
     :meth:`get` / :meth:`items` as immutable and go through the mutators.
+
+    ``total`` is the weighted number of entries, carried through every
+    mutator and through ``copy()`` — an engine's ``support_entry_count``
+    reads it instead of recounting the table. *weights* is the arena's
+    per-record size column (``Arena.fact_size``); without one every
+    record weighs 1.
     """
 
-    __slots__ = ("_map", "_shared_map", "_owned")
+    __slots__ = ("_map", "_shared_map", "_owned", "_weights", "total")
 
-    def __init__(self, _map: Optional[Dict[int, Set[int]]] = None) -> None:
-        self._map: Dict[int, Set[int]] = {} if _map is None else _map
-        self._shared_map: bool = _map is not None
-        self._owned: Optional[Set[int]] = None if _map is None else set()
+    def __init__(self, weights: Optional[List[int]] = None) -> None:
+        self._map: Dict[int, Set[int]] = {}
+        self._shared_map: bool = False
+        self._owned: Optional[Set[int]] = None
+        self._weights = weights
+        self.total: int = 0
 
     def copy(self) -> "SupportTable":
         """O(1) copy-on-write duplicate; both sides go lazy-private."""
         self._shared_map = True
         self._owned = set()
-        return SupportTable(self._map)
+        twin = SupportTable(self._weights)
+        twin._map = self._map
+        twin._shared_map = True
+        twin._owned = set()
+        twin.total = self.total
+        return twin
+
+    def _weigh(self, records: Set[int]) -> int:
+        weights = self._weights
+        if weights is None:
+            return len(records)
+        return sum(weights[record] for record in records)
 
     def _own_map(self) -> Dict[int, Set[int]]:
         if self._shared_map:
@@ -518,11 +622,20 @@ class SupportTable:
         return current
 
     def add(self, slot: int, record: int) -> None:
-        self._writable(slot).add(record)
+        current = self._writable(slot)
+        if record not in current:
+            current.add(record)
+            weights = self._weights
+            self.total += 1 if weights is None else weights[record]
 
     def replace(self, slot: int, records: Set[int]) -> None:
         """Install *records* (a fresh set the caller relinquishes)."""
-        self._own_map()[slot] = records
+        own = self._own_map()
+        old = own.get(slot)
+        if old:
+            self.total -= self._weigh(old)
+        own[slot] = records
+        self.total += self._weigh(records)
         if self._owned is not None:
             self._owned.add(slot)
 
@@ -530,14 +643,19 @@ class SupportTable:
         current = self._map.get(slot)
         if current is not None and record in current:
             self._writable(slot).discard(record)
+            weights = self._weights
+            self.total -= 1 if weights is None else weights[record]
 
     def discard_many(self, slot: int, records: Set[int]) -> None:
-        if records:
-            self._writable(slot).difference_update(records)
+        current = self._map.get(slot)
+        gone = current & records if current else None
+        if gone:
+            self._writable(slot).difference_update(gone)
+            self.total -= self._weigh(gone)
 
     def pop(self, slot: int) -> None:
         if slot in self._map:
-            self._own_map().pop(slot, None)
+            self.total -= self._weigh(self._own_map().pop(slot))
             if self._owned is not None:
                 self._owned.discard(slot)
 
@@ -630,12 +748,15 @@ class ArenaFactRecords(ArenaSupportState):
         arena: Optional[Arena] = None,
     ) -> "ArenaFactRecords":
         arena = arena if arena is not None else Arena()
-        table = SupportTable()
+        table = SupportTable(arena.fact_size)
         intern_atom = arena.intern_atom
         for fact, record_set in records.items():
-            table.replace(
-                intern_atom(fact),
-                {
+            head = intern_atom(fact)
+            table.replace(head, set())
+            for record in record_set:
+                arena.attach_fact_record(
+                    table,
+                    head,
                     arena.intern_fact_record(
                         arena.intern_rule(record.rule),
                         frozenset(
@@ -646,10 +767,8 @@ class ArenaFactRecords(ArenaSupportState):
                             intern_atom(atom)
                             for atom in record.negative_facts
                         ),
-                    )
-                    for record in record_set
-                },
-            )
+                    ),
+                )
         return cls(arena, table)
 
 
@@ -1087,12 +1206,12 @@ def from_canonical_parts(
             )
             for row in records
         ]
-        table_store = SupportTable()
+        table_store = SupportTable(arena.fact_size)
         for row in table:
-            table_store.replace(
-                atom_slots[row[0]],  # type: ignore[index]
-                {record_slots[r] for r in row[1]},  # type: ignore[union-attr]
-            )
+            head = atom_slots[row[0]]  # type: ignore[index]
+            table_store.replace(head, set())
+            for r in row[1]:  # type: ignore[union-attr]
+                arena.attach_fact_record(table_store, head, record_slots[r])
         return ArenaFactRecords(arena, table_store)
     if kind == ArenaRuleRecords.kind:
         record_of_rule = [

@@ -130,7 +130,7 @@ class CascadeEngine(MaintenanceEngine):
         return {decode(record) for record in records}
 
     def support_entry_count(self) -> int:
-        return sum(len(records) for records in self._table.values())
+        return self._table.total
 
     def _support_state(self) -> dict:
         return {"records": ArenaRuleRecords(self._arena, self._table.copy())}

@@ -26,6 +26,17 @@ trade-off can be measured (experiments E7, E8, E12):
   update keeps its fact alive through the transition: **nothing is ever
   removed and re-added — migration is structurally zero** (asserted by the
   property tests).
+
+The paper's objection is that this "defeats the delta-driven mechanism";
+here removal is delta-driven too (experiment E23). The kill pass starts
+from the inserted / deleted atoms and visits only the records the arena's
+citation index says ever cited them. The heads that lost a record are
+closed forward over live same-stratum positive citations into the
+*suspects*, and only those are re-proved:
+
+  a non-suspect fact lost no record, and none of its live records cites a
+  suspect (it would be one), so the proof that grounded it before the
+  update uses only records and facts the update left alone — it stands.
 """
 
 from __future__ import annotations
@@ -47,16 +58,16 @@ class FactLevelEngine(MaintenanceEngine):
 
     Its bookkeeping is the largest of any solution (one record per
     ground deduction). It lives as int slots in a shared
-    :class:`~repro.core.arena.Arena`: kills and groundedness checks
-    intersect frozensets of ints, and a checkpoint copies one
+    :class:`~repro.core.arena.Arena`: kills and groundedness checks walk
+    the arena's citation index from the changed atoms, the entry count
+    is a total the table carries, and a checkpoint copies one
     copy-on-write :class:`~repro.core.arena.SupportTable`.
     """
 
     name = "factlevel"
 
     def __init__(self, program, **kwargs):
-        self._arena = Arena()
-        self._table = SupportTable()
+        self._reset_supports()
         super().__init__(program, **kwargs)
 
     # ------------------------------------------------------------------
@@ -65,12 +76,13 @@ class FactLevelEngine(MaintenanceEngine):
 
     def _reset_supports(self) -> None:
         self._arena = Arena()
-        self._table = SupportTable()
+        self._table = SupportTable(self._arena.fact_size)
 
     def _build_listener(self):
         arena = self._arena
         table = self._table
         intern_atom = arena.intern_atom
+        attach = arena.attach_fact_record
 
         def listener(derivation: Derivation, is_new: bool, plan) -> None:
             self._derivations_fired += 1
@@ -88,12 +100,14 @@ class FactLevelEngine(MaintenanceEngine):
                         for atom in derivation.negative_atoms
                     ),
                 )
-            table.add(intern_atom(derivation.head), slot)
+            attach(table, intern_atom(derivation.head), slot)
 
         return listener
 
     def _register_assertion(self, fact: Atom) -> None:
-        self._table.add(self._arena.intern_atom(fact), ASSERTION)
+        self._arena.attach_fact_record(
+            self._table, self._arena.intern_atom(fact), ASSERTION
+        )
 
     def records_of(self, fact: Atom) -> set[FactRecord]:
         slot = self._arena.atom_id(fact)
@@ -104,12 +118,7 @@ class FactLevelEngine(MaintenanceEngine):
         return {decode(record) for record in records}
 
     def support_entry_count(self) -> int:
-        size = self._arena.fact_record_size
-        return sum(
-            size(record)
-            for records in self._table.values()
-            for record in records
-        )
+        return self._table.total
 
     def _support_state(self) -> dict:
         # The arena is shared (append-only: existing slots never change
@@ -180,149 +189,122 @@ class FactLevelEngine(MaintenanceEngine):
                 span.set("full_fire", len(full_fire))
         return added
 
-    @staticmethod
-    def _vulnerable_heads(
-        stratum: Stratum, inc_facts: set[Atom], dec_facts: set[Atom]
-    ) -> set[str]:
-        """Head relations whose records could reference a changed fact.
-
-        A fact-level record stores the ground body facts of one rule
-        firing, so it can intersect *inc_facts* only through a negative
-        body literal of the same relation as an inserted fact, and
-        *dec_facts* only through a positive literal of a deleted fact's
-        relation. Heads of rules with no such literal cannot lose a
-        record — the kill sweep skips them, which on traffic whose
-        relations no rule negates reduces the sweep to nothing instead
-        of an O(model) scan per update.
-        """
-        inc_relations = {fact.relation for fact in inc_facts}
-        dec_relations = {fact.relation for fact in dec_facts}
-        return {
-            clause.head.relation
-            for clause in stratum.rules
-            if any(
-                literal.relation in inc_relations
-                for literal in clause.negative_body
-            )
-            or any(
-                literal.relation in dec_relations
-                for literal in clause.positive_body
-            )
-        }
-
     def _kill_records(
         self, stratum: Stratum, inc_facts: set[Atom], dec_facts: set[Atom]
-    ) -> bool:
-        """Kill exactly the records invalidated by the update. Returns
-        whether anything was killed (triggering a groundedness pass).
+    ) -> set[int]:
+        """Kill exactly the records invalidated by the update; returns
+        the head slots that lost one (the groundedness pass's seeds).
 
-        The sweep runs in id space: two int-set intersections per
-        record. A changed fact that was never interned cannot appear in
-        any record, so un-interned facts drop out up front."""
-        arena = self._arena
-        atom_id = arena.atom_id
-        inc_slots = {
-            slot
-            for slot in (atom_id(fact) for fact in inc_facts)
-            if slot is not None
-        }
-        dec_slots = {
-            slot
-            for slot in (atom_id(fact) for fact in dec_facts)
-            if slot is not None
-        }
-        if not inc_slots and not dec_slots:
-            return False
-        heads = self._vulnerable_heads(stratum, inc_facts, dec_facts)
-        table = self._table
-        fact_pos, fact_neg = arena.fact_pos, arena.fact_neg
-        killed = False
-        for relation in stratum.relations & heads:
-            for fact in list(self.model.facts_of(relation)):
-                slot = atom_id(fact)
-                records = None if slot is None else table.get(slot)
-                if not records:
-                    continue
-                dead = {
-                    record
-                    for record in records
-                    if fact_neg[record] & inc_slots
-                    or fact_pos[record] & dec_slots
-                }
-                if dead:
-                    table.discard_many(slot, dead)
-                    killed = True
-        return killed
-
-    def _well_founded_evictions(self, stratum: Stratum) -> set[Atom]:
-        """Evict the stratum facts with no grounded deduction left.
-
-        A record is grounded when each of its positive body facts either
-        lives in a lower stratum *and is still in the model* (a record can
-        go stale when its body fact died in the same stratum pass that
-        created the dec entry — restratification moves relations between
-        strata, so presence must be checked, not assumed) or has itself
-        been validated. Iterating to a fixpoint from below rejects mutually
-        supporting positive cycles.
-
-        The groundedness fixpoint runs over atom slots. The "body fact
-        lives below this stratum and is still in the model" predicate is
-        memoised per slot across the whole fixpoint — the record graph
-        cites the same lower-stratum facts over and over, and in id space
-        the memo is one dict probe.
-        """
-        index = stratum.index
-        stratum_of = self.db.stratification.stratum_of
-        candidates = [
-            fact
-            for relation in stratum.relations
-            for fact in self.model.facts_of(relation)
-        ]
+        The walk starts from the changed atoms: the arena's citation
+        index names every record that ever cited an inserted fact
+        negatively or a deleted one positively, and every head such a
+        record was ever attached to. The index is append-only, so each
+        candidate is checked against the live table; a head of another
+        stratum is left to that stratum's own pass. A changed fact that
+        was never interned cannot appear in any record."""
         arena = self._arena
         atom_id = arena.atom_id
         atoms = arena.atoms
+        heads_of = arena.fact_record_heads
+        relations = stratum.relations
+        table = self._table
+        dead: dict[int, set[int]] = {}
+        visited = 0
+        with OBS.span("phase:kill") as span:
+            for facts, positive in ((inc_facts, False), (dec_facts, True)):
+                for fact in facts:
+                    slot = atom_id(fact)
+                    if slot is None:
+                        continue
+                    for record in arena.fact_citers(slot, positive):
+                        visited += 1
+                        for head in heads_of(record):
+                            if atoms[head].relation not in relations:
+                                continue
+                            live = table.get(head)
+                            if live and record in live:
+                                dead.setdefault(head, set()).add(record)
+            for head, records in dead.items():
+                table.discard_many(head, records)
+            if span:
+                span.set("visited", visited)
+                span.set("killed", sum(map(len, dead.values())))
+        return set(dead)
+
+    def _well_founded_evictions(
+        self, stratum: Stratum, seeds: set[int]
+    ) -> set[Atom]:
+        """Evict the stratum facts with no grounded deduction left.
+
+        *seeds* are the head slots that lost a record. Closing them
+        forward over live same-stratum positive citations gives the
+        *suspects*; the groundedness fixpoint runs over those only. A
+        record is grounded when each of its positive body facts either
+        is not a suspect *and is still in the model* (a record can go
+        stale when its body fact died in the same stratum pass that
+        created the dec entry — restratification moves relations between
+        strata, so presence must be checked, not assumed) or has itself
+        been validated. Iterating to a fixpoint from below rejects
+        mutually supporting positive cycles.
+
+        The "not a suspect and in the model" predicate is memoised per
+        slot across the whole fixpoint — the record graph cites the same
+        outside facts over and over, and in id space the memo is one
+        dict probe.
+        """
+        arena = self._arena
+        atoms = arena.atoms
         fact_pos = arena.fact_pos
+        heads_of = arena.fact_record_heads
+        relations = stratum.relations
         table = self._table
         model = self.model
-        slot_of = {fact: atom_id(fact) for fact in candidates}
-        lower: dict[int, bool] = {}
+        with OBS.span("phase:well_founded") as span:
+            suspects = set(seeds)
+            frontier = list(seeds)
+            while frontier:
+                for record in arena.fact_citers(frontier.pop(), True):
+                    for head in heads_of(record):
+                        if (
+                            head not in suspects
+                            and atoms[head].relation in relations
+                            and record in (table.get(head) or ())
+                        ):
+                            suspects.add(head)
+                            frontier.append(head)
+            outside: dict[int, bool] = {}
 
-        def is_lower(slot: int) -> bool:
-            cached = lower.get(slot)
-            if cached is None:
-                atom = atoms[slot]
-                cached = lower[slot] = (
-                    stratum_of(atom.relation) < index and atom in model
-                )
-            return cached
-
-        validated: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for fact in candidates:
-                slot = slot_of[fact]
-                if slot is None or slot in validated:
-                    continue
-                for record in table.get(slot) or ():
-                    grounded = all(
-                        body in validated or is_lower(body)
-                        for body in fact_pos[record]
+            def stands(slot: int) -> bool:
+                cached = outside.get(slot)
+                if cached is None:
+                    cached = outside[slot] = (
+                        slot not in suspects and atoms[slot] in model
                     )
-                    if grounded:
-                        validated.add(slot)
-                        changed = True
-                        break
-        evicted = {
-            fact
-            for fact in candidates
-            if slot_of[fact] is None or slot_of[fact] not in validated
-        }
-        for fact in evicted:
-            self._evict(fact)
-        span = OBS.tracer.current if OBS.enabled else None
-        if span is not None:
-            span.event("well_founded_check", evicted=len(evicted))
+                return cached
+
+            validated: set[int] = set()
+            changed = True
+            while changed:
+                changed = False
+                for slot in suspects:
+                    if slot in validated:
+                        continue
+                    for record in table.get(slot) or ():
+                        grounded = all(
+                            body in validated or stands(body)
+                            for body in fact_pos[record]
+                        )
+                        if grounded:
+                            validated.add(slot)
+                            changed = True
+                            break
+            evicted = {atoms[slot] for slot in suspects - validated}
+            for fact in evicted:
+                self._evict(fact)
+            if span:
+                span.set("seeds", len(seeds))
+                span.set("suspects", len(suspects))
+                span.set("evicted", len(evicted))
         return evicted
 
     def _run_cascade(
@@ -331,8 +313,11 @@ class FactLevelEngine(MaintenanceEngine):
         inc_facts: set[Atom],
         dec_facts: set[Atom],
         seed_rules: Iterable[Clause] = (),
-        forced_check_start: bool = False,
+        seeds: Iterable[int] = (),
     ) -> tuple[set[Atom], set[Atom]]:
+        """Saturate, kill and evict stratum by stratum from *start* up.
+        *seeds* are head slots of stratum *start* that already lost a
+        record (a retracted assertion, a deleted rule's firings)."""
         removed_all: set[Atom] = set()
         added_all: set[Atom] = set()
         seed_rules = tuple(seed_rules)
@@ -345,9 +330,7 @@ class FactLevelEngine(MaintenanceEngine):
                 stratum, inc_relations | dec_relations
             ):
                 continue
-            if first and not (
-                seed_rules or forced_check_start or inc_facts or dec_facts
-            ):
+            if first and not (seed_rules or seeds or inc_facts or dec_facts):
                 continue
             with OBS.span("stratum") as stratum_span:
                 if stratum_span:
@@ -363,10 +346,12 @@ class FactLevelEngine(MaintenanceEngine):
                 added_all |= added
                 inc_facts |= added
                 with OBS.span("phase:removal") as removal_span:
-                    killed = self._kill_records(stratum, inc_facts, dec_facts)
+                    lost = self._kill_records(stratum, inc_facts, dec_facts)
+                    if first:
+                        lost.update(seeds)
                     evicted: set[Atom] = set()
-                    if killed or (first and forced_check_start):
-                        evicted = self._well_founded_evictions(stratum)
+                    if lost:
+                        evicted = self._well_founded_evictions(stratum, lost)
                         # Facts added earlier in this very update and
                         # evicted now were never part of the maintained
                         # model: churn, not removal (and certainly not
@@ -403,26 +388,21 @@ class FactLevelEngine(MaintenanceEngine):
 
     def _apply_insert_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
         self.model.add(fact)
-        self._table.replace(self._arena.intern_atom(fact), {ASSERTION})
+        self._register_assertion(fact)
         removed, added = self._run_cascade(
             self.db.stratum_of(fact.relation), {fact}, set()
         )
         return removed, added | {fact}
 
     def _apply_delete_fact(self, fact: Atom) -> tuple[set[Atom], set[Atom]]:
-        slot = self._arena.atom_id(fact)
-        if slot is not None:
-            self._table.discard(slot, ASSERTION)
+        slot = self._arena.intern_atom(fact)
+        self._table.discard(slot, ASSERTION)
         # The fact may survive through other deductions; the well-founded
-        # check at its stratum decides (and handles positive cycles whose
+        # check seeded with it decides (and handles positive cycles whose
         # only external support was this assertion).
-        removed, added = self._run_cascade(
-            self.db.stratum_of(fact.relation),
-            set(),
-            set(),
-            forced_check_start=True,
+        return self._run_cascade(
+            self.db.stratum_of(fact.relation), set(), set(), seeds=(slot,)
         )
-        return removed, added
 
     def _apply_insert_rule(self, rule: Clause) -> tuple[set[Atom], set[Atom]]:
         return self._run_cascade(
@@ -434,7 +414,7 @@ class FactLevelEngine(MaintenanceEngine):
 
     def _apply_delete_rule(self, rule: Clause) -> tuple[set[Atom], set[Atom]]:
         head = rule.head.relation
-        killed = False
+        seeds: set[int] = set()
         dec_facts: set[Atom] = set()
         arena = self._arena
         table = self._table
@@ -452,7 +432,6 @@ class FactLevelEngine(MaintenanceEngine):
                     if fact_rule[record] == rule_slot
                 }
                 if dead:
-                    killed = True
                     if dead == records:
                         # Evict here rather than in the stratum sweep:
                         # deleting the relation's last rule can drop it
@@ -463,10 +442,8 @@ class FactLevelEngine(MaintenanceEngine):
                         dec_facts.add(fact)
                     else:
                         table.discard_many(slot, dead)
+                        seeds.add(slot)
         removed, added = self._run_cascade(
-            self.db.stratum_of(head),
-            set(),
-            dec_facts,
-            forced_check_start=killed,
+            self.db.stratum_of(head), set(), dec_facts, seeds=seeds
         )
         return removed | dec_facts, added

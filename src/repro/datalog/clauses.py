@@ -167,36 +167,35 @@ class Program:
     want runs to be deterministic).
     """
 
-    __slots__ = ("_clauses", "_index", "_tuple")
+    __slots__ = ("_clauses", "_tuple")
 
     def __init__(self, clauses: Iterable[Clause] = ()) -> None:
-        self._clauses: list[Clause] = []
-        self._index: dict[Clause, int] = {}
+        # An insertion-ordered dict: membership and removal are O(1) and
+        # iteration keeps the order snapshot bytes depend on.
+        self._clauses: dict[Clause, None] = {}
         self._tuple: tuple[Clause, ...] | None = None
         for clause in clauses:
             self.add(clause)
 
     def add(self, clause: Clause) -> bool:
         """Add *clause* unless already present. Return True when added."""
-        if clause in self._index:
+        if clause in self._clauses:
             return False
         clause.check_safety()
-        self._index[clause] = len(self._clauses)
-        self._clauses.append(clause)
+        self._clauses[clause] = None
         self._tuple = None
         return True
 
     def remove(self, clause: Clause) -> bool:
         """Remove *clause* if present. Return True when removed."""
-        if clause not in self._index:
+        if clause not in self._clauses:
             return False
-        del self._index[clause]
-        self._clauses.remove(clause)
+        del self._clauses[clause]
         self._tuple = None
         return True
 
     def __contains__(self, clause: Clause) -> bool:
-        return clause in self._index
+        return clause in self._clauses
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self._clauses)

@@ -62,22 +62,20 @@ class Stratum:
     The clause sequence is kept in sync with the program by the owning
     :class:`~repro.datalog.database.StratifiedDatabase` when facts are
     asserted or retracted (rule updates rebuild the whole stratification).
-    Membership is indexed and the exposed tuple is cached, so registering
-    an asserted fact costs O(1) however many facts the stratum holds —
-    every transaction rollback re-syncs its fact diff on restore.
+    The clauses are the keys of an insertion-ordered dict and the exposed
+    tuple is cached, so registering or retracting an asserted fact costs
+    O(1) however many facts the stratum holds — every transaction
+    rollback re-syncs its fact diff on restore.
     """
 
-    __slots__ = (
-        "index", "relations", "_clauses", "_members", "_tuple", "_rules"
-    )
+    __slots__ = ("index", "relations", "_clauses", "_tuple", "_rules")
 
     def __init__(
         self, index: int, relations: frozenset[str], clauses: tuple[Clause, ...]
     ) -> None:
         self.index = index  # 1-based, as in the paper
         self.relations = relations
-        self._clauses = list(clauses)
-        self._members = set(self._clauses)
+        self._clauses: dict[Clause, None] = dict.fromkeys(clauses, None)
         self._tuple: tuple[Clause, ...] | None = tuple(self._clauses)
         self._rules: tuple[Clause, ...] | None = None
 
@@ -100,17 +98,15 @@ class Stratum:
         return self._rules
 
     def add(self, clause: Clause) -> None:
-        if clause not in self._members:
-            self._members.add(clause)
-            self._clauses.append(clause)
+        if clause not in self._clauses:
+            self._clauses[clause] = None
             self._tuple = None
             if clause.body:
                 self._rules = None
 
     def discard(self, clause: Clause) -> None:
-        if clause in self._members:
-            self._members.discard(clause)
-            self._clauses.remove(clause)
+        if clause in self._clauses:
+            del self._clauses[clause]
             self._tuple = None
             if clause.body:
                 self._rules = None

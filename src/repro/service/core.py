@@ -78,10 +78,11 @@ class ReadView:
 
     def rows(self, relation: str) -> Tuple[tuple, ...]:
         """The pinned rows of *relation*, sorted."""
-        for name, _arity, rows in self._checkpoint["model"].relation_data():
-            if name == relation:
-                return tuple(rows)
-        return ()
+        model = self._checkpoint["model"]
+        if not model.has_relation(relation):
+            return ()
+        # The order of Model.relation_data, for the one relation asked for.
+        return tuple(sorted(model.relation(relation), key=repr))
 
     def release(self) -> None:
         if not self._released:

@@ -43,6 +43,40 @@ RULE = parse_clause("p(X) :- q(X), not r(X).")
 OTHER_RULE = parse_clause("p(X) :- s(X).")
 
 
+def index_gaps(arena: Arena, table: SupportTable) -> list:
+    """The live ``(head, record)`` pairs the citation index does not
+    fully know — empty when the index invariant holds: the head is among
+    the record's heads and the record among the citers of every atom of
+    its positive and negative sets."""
+    gaps = []
+    for head, records in table.items():
+        for record in records:
+            if record == ASSERTION:
+                continue
+            if (
+                head not in arena.fact_record_heads(record)
+                or any(
+                    record not in arena.fact_citers(atom, True)
+                    for atom in arena.fact_pos[record]
+                )
+                or any(
+                    record not in arena.fact_citers(atom, False)
+                    for atom in arena.fact_neg[record]
+                )
+            ):
+                gaps.append((head, record))
+    return gaps
+
+
+def recount(arena: Arena, table: SupportTable) -> int:
+    """``support_entry_count`` the slow way: one pass over the table."""
+    return sum(
+        arena.fact_record_size(record)
+        for records in table.values()
+        for record in records
+    )
+
+
 class TestInterning:
     def test_atoms_intern_to_stable_slots(self):
         arena = Arena()
@@ -125,6 +159,94 @@ class TestSupportTable:
         assert table.get(1) == {11}
         assert len(table) == 1
         assert 1 in table and 2 not in table
+
+
+    def test_total_follows_every_mutator_and_copy(self):
+        weights = [1, 3, 2, 5]  # per record slot, as Arena.fact_size
+        for column in (None, weights):
+            def weigh(records, column=column):
+                return sum(1 if column is None else column[r] for r in records)
+
+            table = SupportTable(column)
+            table.replace(7, {1, 2})
+            table.add(7, 3)
+            table.add(7, 3)  # already there: counted once
+            table.add(8, 0)
+            assert table.total == weigh([1, 2, 3, 0])
+            frozen = table.copy()
+            table.discard(7, 2)
+            table.discard(7, 2)  # already gone
+            table.discard_many(7, {1, 9})  # 9 was never there
+            table.replace(8, {1, 2})
+            table.pop(9)  # absent slot
+            assert table.total == weigh([3, 1, 2])
+            table.pop(7)
+            assert table.total == weigh([1, 2])
+            assert frozen.total == weigh([1, 2, 3, 0])
+            assert frozen.copy().total == frozen.total
+
+
+class TestCitationIndex:
+    def test_citers_and_heads_of_a_record(self):
+        arena = Arena()
+        table = SupportTable(arena.fact_size)
+        q1, r1, p1 = (arena.intern_atom(fact(n, 1)) for n in "qrp")
+        record = arena.intern_fact_record(
+            arena.intern_rule(RULE), frozenset({q1}), frozenset({r1})
+        )
+        assert arena.fact_citers(q1, True) == (record,)
+        assert arena.fact_citers(r1, False) == (record,)
+        assert not arena.fact_citers(q1, False)
+        assert not arena.fact_record_heads(record)  # interned, not attached
+        arena.attach_fact_record(table, p1, record)
+        arena.attach_fact_record(table, p1, record)  # idempotent
+        assert arena.fact_record_heads(record) == (p1,)
+        assert table.get(p1) == {record}
+        assert table.total == arena.fact_record_size(record) == 3
+
+    def test_single_entries_grow_into_lists(self):
+        arena = Arena()
+        table = SupportTable(arena.fact_size)
+        q1 = arena.intern_atom(fact("q", 1))
+        one = arena.intern_fact_record(
+            arena.intern_rule(RULE), frozenset({q1}), frozenset()
+        )
+        two = arena.intern_fact_record(
+            arena.intern_rule(OTHER_RULE), frozenset({q1}), frozenset()
+        )
+        assert list(arena.fact_citers(q1, True)) == [one, two]
+        heads = [arena.intern_atom(fact("p", i)) for i in (1, 2, 3)]
+        for head in heads:
+            arena.attach_fact_record(table, head, one)
+        assert list(arena.fact_record_heads(one)) == heads
+
+    def test_index_never_shrinks_and_assertion_is_not_indexed(self):
+        arena = Arena()
+        table = SupportTable(arena.fact_size)
+        q1, p1 = arena.intern_atom(fact("q", 1)), arena.intern_atom(fact("p", 1))
+        record = arena.intern_fact_record(
+            arena.intern_rule(RULE), frozenset({q1}), frozenset()
+        )
+        arena.attach_fact_record(table, p1, record)
+        arena.attach_fact_record(table, q1, ASSERTION)
+        table.discard(p1, record)
+        table.pop(q1)
+        assert arena.fact_citers(q1, True) == (record,)
+        assert arena.fact_record_heads(record) == (p1,)
+        assert not arena.fact_record_heads(ASSERTION)
+
+    def test_loaders_fill_the_index(self):
+        state = _sample_fact_state()  # from_records: the v1 / legacy load
+        assert not index_gaps(state.arena, state.table)
+        assert state.table.total == recount(state.arena, state.table)
+        parts = canonical_parts(state)
+        rebuilt = from_canonical_parts(
+            parts.kind, parts.atoms, parts.rules, parts.entries,
+            parts.elements, parts.records, parts.table,
+        )
+        assert len(rebuilt.table) == len(state.table)
+        assert not index_gaps(rebuilt.arena, rebuilt.table)
+        assert rebuilt.table.total == state.table.total
 
 
 class TestPruning:
@@ -365,6 +487,32 @@ class TestEngineIntegration:
             engine.restore(checkpoint)
             assert engine.db.program.clauses == checkpoint["program"]
             assert dumps(engine.state_dict()) == before
+
+    def test_factlevel_index_survives_restore_and_both_snapshot_forms(self):
+        engine = create_engine("factlevel", self.PROGRAM)
+        checkpoint = engine.checkpoint()
+        engine.apply("insert_fact", fact("r", 1))  # kills p(1)'s record
+        engine.restore(checkpoint)  # ... and brings it back
+        assert not index_gaps(engine._arena, engine._table)
+        assert engine.support_entry_count() == recount(
+            engine._arena, engine._table
+        )
+        state = engine.state_dict()
+        v2 = create_engine("factlevel", self.PROGRAM, build=False)
+        v2.load_state(  # the compact codec's "A" node: from_canonical_parts
+            {**state, "supports": decode_compact(
+                json.loads(json.dumps(encode_compact_tabled(state["supports"])))
+            )}
+        )
+        v1 = create_engine("factlevel", self.PROGRAM, build=False)
+        v1.load_state(loads(dumps(state)))  # record objects: from_records
+        for loaded in (v2, v1):
+            assert not index_gaps(loaded._arena, loaded._table)
+            assert loaded.support_entry_count() == engine.support_entry_count()
+            loaded.apply("insert_fact", fact("r", 1))
+            assert fact("p", 1) not in loaded.model
+            assert loaded.is_consistent()
+            assert not index_gaps(loaded._arena, loaded._table)
 
     def test_arena_is_not_an_option(self):
         for name in ("factlevel", "recompute"):

@@ -84,6 +84,33 @@ class TestProgram:
         assert not program.remove(Clause(atom("e", 1)))
         assert len(program) == 3
 
+    def test_remove_keeps_the_order_of_the_rest(self):
+        # Snapshot bytes follow this order: removing from the middle and
+        # re-adding moves the clause to the end, nothing else shifts.
+        program = self._program()
+        first, second, third, fourth = program.clauses
+        program.remove(second)
+        assert program.clauses == (first, third, fourth)
+        assert list(program) == [first, third, fourth]
+        assert second not in program and third in program
+        program.add(second)
+        assert program.clauses == (first, third, fourth, second)
+        assert program.copy().clauses == program.clauses
+
+    def test_remove_does_not_compare_clauses(self, monkeypatch):
+        # O(1): the removed clause is found by hash (membership, then
+        # deletion) and compared with no other clause; list.remove used
+        # to scan the program.
+        program = Program(Clause(atom("e", i)) for i in range(50))
+        compared = []
+        original = Clause.__eq__
+        monkeypatch.setattr(
+            Clause, "__eq__",
+            lambda self, other: compared.append(self) or original(self, other),
+        )
+        assert program.remove(Clause(atom("e", 49)))
+        assert len(compared) <= 2
+
     def test_facts_and_rules(self):
         program = self._program()
         assert {str(f) for f in program.facts} == {"e(1)", "e(2)"}

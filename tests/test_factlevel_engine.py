@@ -1,9 +1,21 @@
 """Tests for the fact-level no-migration solution (section 5.2 discussion)."""
 
+from test_arena import index_gaps, recount
+
 from repro.core.factlevel_engine import FactLevelEngine
 from repro.core.supports import FactRecord
 from repro.datalog.atoms import fact
+from repro.obs import OBS, telemetry
 from repro.workloads.paper import meet, negation_chain, pods
+
+
+def assert_bookkeeping(engine):
+    """Oracle model, complete citation index, exact entry total."""
+    assert engine.is_consistent()
+    assert not index_gaps(engine._arena, engine._table)
+    assert engine.support_entry_count() == recount(
+        engine._arena, engine._table
+    )
 
 
 class TestZeroMigration:
@@ -95,6 +107,118 @@ class TestWellFoundedness:
         engine.delete_fact("spark(1)")
         assert fact("on", 1) in engine.model
         assert engine.is_consistent()
+
+
+    def test_bare_cycle_loses_its_only_external_support(self):
+        engine = FactLevelEngine("e. q :- e. p :- q. q :- p.")
+        result = engine.delete_fact("e")
+        assert result.removed == {fact("e"), fact("p"), fact("q")}
+        assert not engine.model.as_set()
+        assert engine.support_entry_count() == 0
+        assert_bookkeeping(engine)
+
+    def test_bare_cycle_keeps_a_second_external_support(self):
+        engine = FactLevelEngine("e. f. q :- e. q :- f. p :- q. q :- p.")
+        result = engine.delete_fact("e")
+        assert result.removed == {fact("e")}
+        assert {fact("p"), fact("q")} <= engine.model.as_set()
+        assert_bookkeeping(engine)
+        engine.delete_fact("f")
+        assert not engine.model.as_set()
+        assert_bookkeeping(engine)
+
+
+class TestCone:
+    """The cases the full-stratum sweep used to get right by brute
+    force: the kill pass and the groundedness check now only see what
+    the citation index reaches from the changed atoms."""
+
+    def test_one_record_shared_by_two_heads(self):
+        # {e(1,2), e(2,1)} is the positive set of p(1,2)'s *and* p(2,1)'s
+        # firing: one record slot, two heads.
+        engine = FactLevelEngine(
+            "e(1, 2). e(2, 1). p(X, Y) :- e(X, Y), e(Y, X)."
+        )
+        heads = [engine._arena.atom_id(fact("p", *xy)) for xy in ((1, 2), (2, 1))]
+        [record] = engine._table.get(heads[0])
+        assert engine._table.get(heads[1]) == {record}
+        assert sorted(engine._arena.fact_record_heads(record)) == sorted(heads)
+        result = engine.delete_fact("e(1, 2)")
+        assert result.removed == {
+            fact("e", 1, 2), fact("p", 1, 2), fact("p", 2, 1)
+        }
+        assert_bookkeeping(engine)
+
+    def test_kill_restore_delete_again(self):
+        # A record killed after a checkpoint comes back with restore();
+        # the next delete must still find it — the index is append-only.
+        engine = FactLevelEngine("e(1). f(1). q(X) :- e(X). q(X) :- f(X).")
+        checkpoint = engine.checkpoint()
+        engine.delete_fact("e(1)")
+        assert len(engine.records_of(fact("q", 1))) == 1
+        engine.restore(checkpoint)
+        assert len(engine.records_of(fact("q", 1))) == 2
+        assert_bookkeeping(engine)
+        engine.delete_fact("e(1)")
+        assert len(engine.records_of(fact("q", 1))) == 1
+        engine.delete_fact("f(1)")
+        assert fact("q", 1) not in engine.model
+        assert_bookkeeping(engine)
+
+    def test_restratifying_rule_insert_then_fact_delete(self):
+        # The inserted rule lifts t (and u above it) one stratum; records
+        # interned under the old stratification must still be found.
+        engine = FactLevelEngine(
+            """
+            a(1). a(2). b(2). c(1). c(2).
+            s(X) :- a(X), not b(X).
+            t(X) :- c(X).
+            u(X) :- t(X), a(X).
+            """
+        )
+        before = engine.db.stratum_of("t")
+        engine.insert_rule("t(X) :- c(X), not s(X).")
+        assert engine.db.stratum_of("t") > before
+        assert_bookkeeping(engine)
+        for subject in ("c(1)", "a(2)", "b(2)"):
+            result = engine.delete_fact(subject)
+            assert not result.migrated
+            assert_bookkeeping(engine)
+        assert engine.model.as_set() == {
+            fact("a", 1), fact("c", 2), fact("s", 1), fact("t", 2)
+        }
+
+    def test_delete_rule_seeds_the_check_with_its_heads(self):
+        engine = FactLevelEngine(TestWellFoundedness.CYCLE)
+        result = engine.delete_rule("on(X) :- spark(X).")
+        assert result.removed == {fact("on", 1), fact("relay", 1)}
+        assert_bookkeeping(engine)
+
+    def test_removal_span_is_split_into_kill_and_well_founded(self):
+        engine = FactLevelEngine(pods(l=5, accepted=(2, 4)))
+        with telemetry():
+            engine.delete_fact("accepted(4)")
+            root = OBS.tracer.traces[-1]
+
+        def spans(node, name):
+            found = [node] if node.name == name else []
+            for child in node.children:
+                found += spans(child, name)
+            return found
+
+        removals = spans(root, "phase:removal")
+        assert removals and all("evicted" in r.attrs for r in removals)
+        kills = [k for r in removals for k in spans(r, "phase:kill")]
+        checks = [c for r in removals for c in spans(r, "phase:well_founded")]
+        assert len(kills) == len(spans(root, "phase:kill")) >= len(removals)
+        assert all({"visited", "killed"} <= set(k.attrs) for k in kills)
+        assert all(
+            {"seeds", "suspects", "evicted"} <= set(c.attrs) for c in checks
+        )
+        # accepted(4) loses its assertion and goes; nothing cited it
+        # positively, so it is the only suspect of the whole update.
+        assert [c.attrs["suspects"] for c in checks] == [1]
+        assert sum(r.attrs["evicted"] for r in removals) == 1
 
 
 class TestDeletionWithRemainingSupport:

@@ -18,6 +18,7 @@ The properties mirror the paper's theorems:
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_arena import index_gaps, recount
 
 from repro.analysis.fuzz import _validate_rule_records
 from repro.core.registry import SOUND_ENGINE_NAMES, create_engine
@@ -346,15 +347,24 @@ def firing_instances(engine):
     return expected
 
 
-def revisions(name, seed, n_updates):
+def revisions(name, seed, n_updates, rule_ratio=0.0):
     """Drive engine *name* through a random update sequence, yielding it
     after every update — once the update's delta was checked against the
-    model diff and (for the sound engines) the model against the oracle."""
+    model diff and (for the sound engines) the model against the oracle.
+    The fact-level engine's citation index and entry total are checked
+    against the live table at every step too. A positive *rule_ratio*
+    mixes rule deletions and re-insertions in (restratification)."""
     syn = generate(seed, SMALL)
-    updates = random_updates(
-        syn.program, syn.edb_relations, syn.arities, syn.domain,
-        count=n_updates, seed=seed,
-    )
+    if rule_ratio:
+        updates = mixed_updates(
+            syn.program, syn.edb_relations, syn.arities, syn.domain,
+            count=n_updates, rule_ratio=rule_ratio, seed=seed,
+        )
+    else:
+        updates = random_updates(
+            syn.program, syn.edb_relations, syn.arities, syn.domain,
+            count=n_updates, seed=seed,
+        )
     engine = create_engine(name, syn.program)
     for operation, subject in updates:
         before = engine.model.as_set()
@@ -365,6 +375,11 @@ def revisions(name, seed, n_updates):
         if name in SOUND_ENGINE_NAMES:
             assert engine.is_consistent(), (
                 f"{name} diverged after {operation} {subject}"
+            )
+        if name == "factlevel":
+            assert not index_gaps(engine._arena, engine._table)
+            assert engine.support_entry_count() == recount(
+                engine._arena, engine._table
             )
         yield engine
 
@@ -390,6 +405,46 @@ class TestSupportSpecs:
             assert decoded_supports(engine) == expected
             for fact_, records in expected.items():
                 assert engine.records_of(fact_) == records
+
+    @given(seed=seeds, n_updates=st.integers(min_value=2, max_value=8))
+    @common
+    def test_factlevel_spec_holds_across_rule_updates(self, seed, n_updates):
+        # Rule deletions and re-insertions restratify between fact
+        # updates; records interned under an older stratification must
+        # still be reached from the changed atoms.
+        for engine in revisions("factlevel", seed, n_updates, rule_ratio=0.5):
+            assert decoded_supports(engine) == firing_instances(engine)
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_factlevel_restore_resurrects_killed_records(self, seed, n_updates):
+        # Run the sequence, roll back, run it again: every record killed
+        # the first time is live again and must be found the second time.
+        syn = generate(seed, SMALL)
+        updates = random_updates(
+            syn.program, syn.edb_relations, syn.arities, syn.domain,
+            count=n_updates, seed=seed,
+        )
+        engine = create_engine("factlevel", syn.program)
+        checkpoint = engine.checkpoint()
+        for _ in range(2):
+            for operation, subject in updates:
+                engine.apply(operation, subject)
+                assert decoded_supports(engine) == firing_instances(engine)
+                assert not index_gaps(engine._arena, engine._table)
+            engine.restore(checkpoint)
+            assert engine.support_entry_count() == recount(
+                engine._arena, engine._table
+            )
+
+    @given(seed=seeds, n_updates=sequence_lengths)
+    @common
+    def test_cascade_entry_total_equals_recount(self, seed, n_updates):
+        for name in ("cascade", "cascade-paper"):
+            for engine in revisions(name, seed, n_updates):
+                assert engine.support_entry_count() == sum(
+                    len(records) for records in engine._table.values()
+                )
 
     @given(seed=seeds, n_updates=sequence_lengths)
     @common

@@ -168,6 +168,34 @@ def test_service_read_view_pins_epoch(tmp_path):
         after.release()
 
 
+def test_read_view_rows_sorts_one_relation(tmp_path, monkeypatch):
+    from repro.datalog.relations import Relation
+
+    program, batch = _ledger_batch(seed=5)
+    store = open_store(tmp_path / "s", program=str(program), engine="factlevel")
+    with RevisionService(store) as service:
+        service.submit_batch(batch)
+        with service.read_view() as view:
+            expected = {
+                name: tuple(rows)
+                for name, _arity, rows in view.model.relation_data()
+            }
+            iterated = []
+            original = Relation.__iter__
+            monkeypatch.setattr(
+                Relation, "__iter__",
+                lambda self: iterated.append(self.name) or original(self),
+            )
+            rows = view.rows("posted")
+            monkeypatch.undo()
+            assert iterated == ["posted"]  # no other relation is touched
+            assert isinstance(rows, tuple) and rows == expected["posted"]
+            for name, sorted_rows in expected.items():
+                assert view.rows(name) == sorted_rows
+            assert view.rows("no_such_relation") == ()
+            assert not view.model.has_relation("no_such_relation")
+
+
 def test_service_undo_redo_replays_group_commit(tmp_path):
     program, batch = _ledger_batch(seed=6)
     store = open_store(tmp_path / "s", program=str(program), engine="dynamic")

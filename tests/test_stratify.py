@@ -122,3 +122,21 @@ class TestClauseSync:
         s.add_clause(extra)
         s.add_clause(extra)
         assert s.clauses_at(1).count(extra) == 1
+
+    def test_discard_keeps_order_and_compares_nothing(self, monkeypatch):
+        program = parse_program(" ".join(f"e({i})." for i in range(40)))
+        stratum = stratify(program).strata[0]
+        clauses = stratum.clauses
+        compared = []
+        original = Clause.__eq__
+        monkeypatch.setattr(
+            Clause, "__eq__",
+            lambda self, other: compared.append(self) or original(self, other),
+        )
+        stratum.discard(parse_clause("e(39)."))
+        stratum.discard(parse_clause("e(3)."))
+        assert len(compared) <= 4  # two hash hits each, no scan
+        monkeypatch.undo()
+        assert stratum.clauses == clauses[:3] + clauses[4:39]
+        stratum.add(parse_clause("e(3)."))
+        assert stratum.clauses[-1] == parse_clause("e(3).")
